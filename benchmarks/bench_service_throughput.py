@@ -4,11 +4,11 @@ Boots the real daemon in-process four times — {batching off, on} ×
 {cache cold, warm} — and drives each from a *separate client process*
 (``python -m repro loadgen --json``), so client-side HTTP work never
 shares the server's event loop and the numbers reflect the daemon alone.
-The workload is 1000 mixed requests (95% ``/schedule``, 5% ``/admit``)
+The workload is 1000 mixed requests (95% ``/v1/schedule``, 5% ``/v1/admit``)
 against a 1-worker process pool.  Cold runs use 1000 distinct task sets
 (every request misses the plan cache); warm runs cycle 25, so
 steady-state traffic is cache hits that never enter the pool.
-``/optimal`` is exercised by the e2e suite but kept out of this timed
+``/v1/optimal`` is exercised by the e2e suite but kept out of this timed
 comparison: one exact convex solve costs ~40× a heuristic solve, so any
 share of it measures the solver, not the serving layer.
 

@@ -4,14 +4,14 @@ Two phases, one archived report (``results/bench/BENCH_shards.json``;
 ``BENCH_shards_smoke.json`` for smoke runs):
 
 1. **Throughput** — the PR 3 mixed workload (default 1000 requests at
-   concurrency 64, 95% ``/schedule`` / 5% ``/admit``, 3-task sets)
+   concurrency 64, 95% ``/v1/schedule`` / 5% ``/v1/admit``, 3-task sets)
    against a 1-shard and a 4-shard router, reporting RPS, latency
    percentiles, and the per-shard balance scraped from the merged
    ``/v1/metrics``.  The ≥2.5x RPS gate at 4 shards is *soft*: shards
    are processes, so the speedup needs ≥4 cores to exist — the report
    records ``os.cpu_count()`` and the gate degrades to a warning when
    the host cannot physically pass it (or when ``--soft-gate`` is set).
-2. **Equivalence** (hard gate) — a seeded 500-event ``/admit`` stream
+2. **Equivalence** (hard gate) — a seeded 500-event ``/v1/admit`` stream
    over three platforms through a 3-shard router must be bit-identical
    — every per-event ack and the final plan snapshots (boundaries, x,
    energy via ``peek``) — to the same stream through a single-process
@@ -187,7 +187,7 @@ async def _equivalence(n_events: int, seed: int) -> dict:
 
 async def _run(n_requests: int, n_events: int, seed: int) -> dict:
     print(
-        f"throughput: {n_requests} requests (95% /schedule, 5% /admit), "
+        f"throughput: {n_requests} requests (95% /v1/schedule, 5% /v1/admit), "
         "concurrency 64",
         flush=True,
     )

@@ -256,16 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lg.add_argument(
         "--optimal-frac", type=float, default=0.0,
-        help="fraction of requests sent to /optimal",
+        help="fraction of requests sent to /v1/optimal",
     )
     lg.add_argument(
         "--admit-frac", type=float, default=0.0,
-        help="fraction of requests sent to /admit",
+        help="fraction of requests sent to /v1/admit",
     )
     lg.add_argument(
         "--admit-stream", action="store_true",
         help=(
-            "replay one Poisson arrival stream of -n tasks through /admit "
+            "replay one Poisson arrival stream of -n tasks through /v1/admit "
             "in release order (session-backed incremental admission)"
         ),
     )

@@ -8,11 +8,10 @@ lives in one :class:`MetricsRegistry`, renderable either as plain JSON
 (:meth:`MetricsRegistry.snapshot`) or in Prometheus text exposition
 format (:func:`repro.obs.prom.render_prometheus`).
 
-This used to be :mod:`repro.service.metrics`; that module remains as a
-thin import shim.  Instrument names follow a colon convention the
-Prometheus renderer understands: ``base[:path[:status]]`` — e.g.
-``latency_ms:/schedule`` or ``responses:/schedule:200`` — so one base
-name fans out into labeled series without a label API.
+Instrument names follow a colon convention the Prometheus renderer
+understands: ``base[:path[:status]]`` — e.g. ``latency_ms:/v1/schedule``
+or ``responses:/v1/schedule:200`` — so one base name fans out into
+labeled series without a label API.
 
 Single-threaded by design: all mutation happens on the event loop (or in
 one worker), so no locks are needed.  Processes do not share registries;
@@ -208,7 +207,7 @@ class MetricsRegistry:
         misses = counters.get("cache_misses", 0)
         if hits + misses:
             parts.append(f"cache_hit_rate={hits / (hits + misses):.3f}")
-        lat = snap["histograms"].get("latency_ms:/schedule")
+        lat = snap["histograms"].get("latency_ms:/v1/schedule")
         if lat and lat["count"]:
             parts.append(f"schedule_p95_ms={lat['p95']}")
         for k, v in snap["gauges"].items():

@@ -7,16 +7,16 @@ version 0.0.4).  Stdlib-only — no client library.
 Instrument names use the repo's colon convention and are mapped onto
 metric families with labels:
 
-====================================  =========================================
-registry name                         exposition
-====================================  =========================================
-``requests_total:/schedule``          ``repro_requests_total{path="/schedule"}``
-``responses:/schedule:200``           ``repro_responses_total{path="/schedule",status="200"}``
-``shed_total``                        ``repro_shed_total``
-``cache_hits``                        ``repro_cache_hits_total``
-``in_progress`` (gauge)               ``repro_in_progress``
-``latency_ms:/schedule`` (histogram)  ``repro_latency_ms{path="/schedule",quantile="0.5"}`` …
-====================================  =========================================
+=======================================  ============================================
+registry name                            exposition
+=======================================  ============================================
+``requests_total:/v1/schedule``          ``repro_requests_total{path="/v1/schedule"}``
+``responses:/v1/schedule:200``           ``repro_responses_total{path="/v1/schedule",status="200"}``
+``shed_total``                           ``repro_shed_total``
+``cache_hits``                           ``repro_cache_hits_total``
+``in_progress`` (gauge)                  ``repro_in_progress``
+``latency_ms:/v1/schedule`` (histogram)  ``repro_latency_ms{path="/v1/schedule",quantile="0.5"}`` …
+=======================================  ============================================
 
 The rule: split on ``:``; the first token is the family base name, a
 second token becomes the ``path`` label (or ``key`` when it doesn't look

@@ -41,6 +41,12 @@ __all__ = [
 #: the service→pool→engine→solver chain of the acceptance criteria
 _REQUIRED_CHAIN = ("service.request", "pool.solve", "engine.solve")
 
+#: root-span paths of schedule requests: the ``/v1`` route, plus the bare
+#: path that exports written before the bare routes were retired carry
+_SCHEDULE_PATHS = ("/v1/schedule", "/schedule")
+#: root-span paths of requests that dispatch solver work on a cache miss
+_SCHEDULED_PATHS = _SCHEDULE_PATHS + ("/v1/optimal", "/optimal")
+
 #: derived stage view: label → span name whose duration feeds it
 _STAGES = (
     ("queue/batch", "batch.queue"),
@@ -110,7 +116,7 @@ class TraceView:
         """True when this trace dispatched real solver work (cache miss)."""
         root = self.root
         path = (root or {}).get("attrs", {}).get("path", "")
-        return path in ("/schedule", "/optimal") and not self.cache_hit()
+        return path in _SCHEDULED_PATHS and not self.cache_hit()
 
     def cache_hit(self) -> bool:
         for sp in self.by_name("cache.probe"):
@@ -195,12 +201,12 @@ def critical_path(trace: TraceView) -> list[tuple[dict, float]]:
 
 
 def cache_attribution(traces: list[TraceView]) -> dict:
-    """Hit/miss populations of /schedule traces with per-population p50."""
+    """Hit/miss populations of schedule traces with per-population p50."""
     hits: list[float] = []
     misses: list[float] = []
     for tv in traces:
         root = tv.root
-        if root is None or root.get("attrs", {}).get("path") != "/schedule":
+        if root is None or root.get("attrs", {}).get("path") not in _SCHEDULE_PATHS:
             continue
         (hits if tv.cache_hit() else misses).append(tv.duration_ms)
     total = len(hits) + len(misses)

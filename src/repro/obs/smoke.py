@@ -9,7 +9,7 @@ ports so the check is hermetic:
    carries the full ``service.request → pool.solve → engine.solve →
    solver:*`` chain, and the ``repro trace`` analyzer produces a
    non-degenerate per-stage breakdown from it.
-2. **Prometheus exposition** — ``GET /metrics`` with ``Accept:
+2. **Prometheus exposition** — ``GET /v1/metrics`` with ``Accept:
    text/plain`` returns parseable 0.0.4 text exposition carrying a
    ``*_window_len`` gauge for every histogram family.
 3. **Overhead** — the same smoke workload is run against a traced
@@ -81,7 +81,7 @@ async def _check_spans_and_prom(failures: list[str]) -> None:
                 service.config.host,
                 service.port,
                 "GET",
-                "/metrics",
+                "/v1/metrics",
                 headers={"Accept": "text/plain"},
             )
             _check_prom(status, body.get("text", ""), failures)

@@ -50,7 +50,7 @@ class MicroBatcher:
         self._timer: asyncio.TimerHandle | None = None
         self._inflight: set[asyncio.Task] = set()
         self._closed = False
-        # accounting for /metrics
+        # accounting for /v1/metrics
         self.batches = 0
         self.jobs = 0
         self.largest_batch = 0

@@ -34,12 +34,13 @@ import json
 import sys
 import time
 
+from ..obs.metrics import MetricsRegistry
 from .config import RetryPolicy, ServiceConfig
 from .faults import FaultInjector, FaultSpec
-from .loadgen import HttpClient, _make_tasksets, run_loadgen
-from .metrics import MetricsRegistry
+from .loadgen import _make_tasksets, run_loadgen
 from .pool import SolveDispatcher
 from .server import SchedulingService
+from .wire import HttpClient
 
 __all__ = ["chaos_smoke", "main"]
 
@@ -82,13 +83,18 @@ def _reference_energy(rows) -> float:
 async def _request_with_retry(
     host: str, port: int, method: str, path: str, payload=None, *, attempts: int = 6
 ):
-    """One request, retried across chaos-injected connection drops."""
+    """One request, retried across chaos-injected connection drops.
+
+    Returns the status and the ``result`` document (the error envelope on
+    failure).
+    """
     last: Exception | None = None
     for _ in range(attempts):
         client = HttpClient(host, port)
         try:
             await client.connect()
-            return await client.request(method, path, payload)
+            status, body = await client.request(method, path, payload)
+            return status, body.get("result", body)
         except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
             last = exc
         finally:
@@ -183,7 +189,7 @@ async def _check_degradation(seed: int, failures: list[str]) -> dict:
             "127.0.0.1",
             service.port,
             "POST",
-            "/optimal",
+            "/v1/optimal",
             {"tasks": rows, "m": 4, "solver": hang_name},
         )
         wall = time.perf_counter() - t0
@@ -196,7 +202,7 @@ async def _check_degradation(seed: int, failures: list[str]) -> dict:
         if wall > 5.0:
             failures.append(f"degradation took {wall:.1f}s — the hang leaked")
         _, m = await _request_with_retry(
-            "127.0.0.1", service.port, "GET", "/metrics"
+            "127.0.0.1", service.port, "GET", "/v1/metrics"
         )
         degraded_total = m["metrics"]["counters"].get("degraded_total", 0)
         if degraded_total < 1:
@@ -251,14 +257,14 @@ async def chaos_smoke(
             "127.0.0.1",
             service.port,
             "POST",
-            "/schedule",
+            "/v1/schedule",
             {
                 "tasks": fresh, "m": 4, "alpha": 3.0, "static": 0.1,
                 "method": "der", "include_schedule": False,
             },
         )
         _, metrics_page = await _request_with_retry(
-            "127.0.0.1", service.port, "GET", "/metrics"
+            "127.0.0.1", service.port, "GET", "/v1/metrics"
         )
     finally:
         await service.stop()

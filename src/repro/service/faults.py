@@ -53,7 +53,7 @@ class SimulatedWorkerCrash(RuntimeError):
     """Stands in for a worker process dying when no real pool exists."""
 
 
-#: Malformed /schedule payload menu the chaos load generator cycles
+#: Malformed /v1/schedule payload menu the chaos load generator cycles
 #: through.  Every entry must map to HTTP 400 (parse-time rejection) —
 #: reaching a pool worker with any of these is a protocol-layer bug.
 MALFORMED_MENU: tuple[dict, ...] = (
@@ -164,7 +164,7 @@ class FaultInjector:
     decision draws from the same ``random.Random(seed)`` stream, so a
     given spec replays the same fault sequence for the same sequence of
     decision points.  ``counts`` tracks injections by class for tests,
-    ``/metrics``, and the chaos-smoke report.
+    ``/v1/metrics``, and the chaos-smoke report.
     """
 
     def __init__(self, spec: FaultSpec):

@@ -6,13 +6,13 @@ connection and pull request indices from a shared counter until
 ``n_requests`` have been issued.  The workload is a pool of ``unique``
 paper-style task sets cycled round-robin — ``unique < n_requests``
 exercises the plan cache, ``unique == n_requests`` keeps it cold — with
-an optional fraction of ``/optimal`` and ``/admit`` traffic mixed in.
+an optional fraction of ``/v1/optimal`` and ``/v1/admit`` traffic mixed in.
 
 Per-request wall latencies feed the same percentile math the server's
 histograms use, so client- and server-side numbers are comparable.
 
 Chaos mode (``chaos="malform=0.1,seed=7"``) injects client-side faults:
-a seeded fraction of ``/schedule`` requests is replaced with a malformed
+a seeded fraction of ``/v1/schedule`` requests is replaced with a malformed
 payload from :data:`repro.service.faults.MALFORMED_MENU`.  Every one of
 those must come back ``400`` — a ``500`` means the validation layer let
 garbage reach a worker — and they are tallied separately in the stats so
@@ -25,11 +25,11 @@ transparent single reconnect-retry, so only double-faults count as errors.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
+from ..obs.metrics import percentile
 from .faults import FaultInjector, FaultSpec
-from .metrics import percentile
+from .wire import HttpClient, request_once
 
 __all__ = [
     "HttpClient",
@@ -40,163 +40,10 @@ __all__ = [
 ]
 
 
-class HttpClient:
-    """One persistent HTTP/1.1 connection speaking JSON."""
-
-    def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    def encode_request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> bytes:
-        """Serialize one request to wire bytes (reusable across sends)."""
-        body = json.dumps(payload).encode() if payload is not None else b""
-        extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        return head + body
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> tuple[int, dict]:
-        """Issue one request; reconnects transparently if the peer closed."""
-        return await self.request_encoded(
-            self.encode_request(method, path, payload, headers)
-        )
-
-    async def request_full(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> tuple[int, dict, dict]:
-        """Like :meth:`request` but also returns the response headers.
-
-        For callers that assert on wire metadata — the ``Deprecation``
-        header of the legacy shims, content types, shard labels.
-        """
-        status, resp_headers, data = await self.request_raw(
-            self.encode_request(method, path, payload, headers)
-        )
-        return status, resp_headers, self._decode_body(resp_headers, data)
-
-    async def request_encoded(
-        self, data: bytes, decode: bool = True
-    ) -> tuple[int, dict]:
-        """Send pre-encoded request bytes (the loadgen hot path).
-
-        ``decode=False`` still reads the full body off the socket but skips
-        ``json.loads`` — for drivers that only care about the status code.
-        """
-        status, headers, body = await self.request_raw(data)
-        if not decode:
-            return status, {}
-        return status, self._decode_body(headers, body)
-
-    async def request_raw(
-        self, data: bytes
-    ) -> tuple[int, dict, bytes]:
-        """Send pre-encoded bytes; return (status, headers, raw body bytes).
-
-        The router's forwarding path: shard response bodies pass through
-        byte-for-byte, never re-serialized.  Reconnects transparently once
-        if the peer closed the keep-alive connection.
-        """
-        if self._writer is None:
-            await self.connect()
-        try:
-            self._writer.write(data)
-            await self._writer.drain()
-            return await self._read_response()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            # server closed the keep-alive connection: retry once, fresh
-            await self.close()
-            await self.connect()
-            self._writer.write(data)
-            await self._writer.drain()
-            return await self._read_response()
-
-    @staticmethod
-    def _decode_body(headers: dict, data: bytes) -> dict:
-        if not data:
-            return {}
-        # non-JSON bodies (e.g. a Prometheus exposition) come back raw
-        if "json" in headers.get("content-type", "application/json"):
-            return json.loads(data.decode())
-        return {"text": data.decode()}
-
-    async def _read_response(self) -> tuple[int, dict, bytes]:
-        try:
-            head = await self._reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionError("server closed connection") from exc
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split()[1])
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        data = await self._reader.readexactly(length) if length else b""
-        if headers.get("connection", "").lower() == "close":
-            await self.close()
-        return status, headers, data
-
-
-async def request_once(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: dict | None = None,
-    headers: dict | None = None,
-) -> tuple[int, dict]:
-    """One-shot request on a throwaway connection (smoke tests)."""
-    client = HttpClient(host, port)
-    await client.connect()
-    try:
-        return await client.request(method, path, payload, headers)
-    finally:
-        await client.close()
-
-
 async def collect_shard_report(host: str, port: int) -> dict | None:
     """Per-shard balance summary scraped from a router's merged metrics.
 
-    Returns ``None`` against a single-process daemon (whose ``/metrics``
+    Returns ``None`` against a single-process daemon (whose ``/v1/metrics``
     page has no ``shards`` section) or when the scrape fails — shard
     reporting degrades to absent, never to an error.
     """
@@ -206,7 +53,7 @@ async def collect_shard_report(host: str, port: int) -> dict | None:
         return None
     if status != 200 or not isinstance(page, dict):
         return None
-    body = page.get("result", page)
+    body = page["result"]
     shards = body.get("shards")
     router = body.get("router")
     if not isinstance(shards, dict) or not isinstance(router, dict):
@@ -219,8 +66,7 @@ async def collect_shard_report(host: str, port: int) -> dict | None:
                 v for k, v in counters.items()
                 if k.startswith("requests_total:")
             ),
-            "admits": counters.get("requests_total:/admit", 0)
-            + counters.get("requests_total:/v1/admit", 0),
+            "admits": counters.get("requests_total:/v1/admit", 0),
         }
     router_counters = (router.get("metrics") or {}).get("counters", {})
     return {
@@ -282,21 +128,21 @@ async def _run_admit_stream(
     seed: int,
     admit_rate: float,
 ) -> dict:
-    """Replay a Poisson arrival stream through ``POST /admit`` in order."""
+    """Replay a Poisson arrival stream through ``POST /v1/admit`` in order."""
     stream = _make_admit_stream(n_requests, seed, admit_rate)
     codec = HttpClient(host, port)
     encoded = [
         codec.encode_request(
-            "POST", "/admit",
+            "POST", "/v1/admit",
             {"task": task, "m": m, "alpha": alpha, "static": static},
         )
         for task in stream
     ]
 
     # the admission session is stateful: start from an empty committed set
-    await request_once(host, port, "POST", "/admit", {"reset": True, "m": m,
-                                                      "alpha": alpha,
-                                                      "static": static})
+    await request_once(host, port, "POST", "/v1/admit", {"reset": True, "m": m,
+                                                         "alpha": alpha,
+                                                         "static": static})
 
     latencies: list[float] = []
     statuses: dict[int, int] = {}
@@ -328,7 +174,7 @@ async def _run_admit_stream(
                 latencies.append((time.perf_counter() - t0) * 1e3)
                 statuses[status] = statuses.get(status, 0) + 1
                 if status == 200:
-                    if payload.get("accepted"):
+                    if payload["result"]["accepted"]:
                         accepted += 1
                     else:
                         rejected += 1
@@ -384,8 +230,8 @@ async def run_loadgen(
 
     ``admit_stream=True`` switches to the incremental-admission workload:
     a single Poisson arrival stream of ``n_requests`` tasks replayed in
-    release order through ``POST /admit`` (after a reset), exercising the
-    session-backed delta path the way ``/schedule`` traffic exercises the
+    release order through ``POST /v1/admit`` (after a reset), exercising the
+    session-backed delta path the way ``/v1/schedule`` traffic exercises the
     batch path.
 
     ``shard_report=True`` scrapes the target's merged metrics after the
@@ -421,7 +267,7 @@ async def run_loadgen(
     codec = HttpClient(host, port)
     schedule_enc = [
         codec.encode_request(
-            "POST", "/schedule",
+            "POST", "/v1/schedule",
             {
                 "tasks": tasks, "m": m, "alpha": alpha, "static": static,
                 "method": method, "include_schedule": include_schedule,
@@ -431,7 +277,7 @@ async def run_loadgen(
     ]
     optimal_enc = [
         codec.encode_request(
-            "POST", "/optimal",
+            "POST", "/v1/optimal",
             {"tasks": tasks, "m": m, "alpha": alpha, "static": static},
         )
         for tasks in (pool if n_optimal else [])
@@ -459,14 +305,14 @@ async def run_loadgen(
                 malformed = injector is not None and injector.should_malform()
                 if malformed:
                     data = codec.encode_request(
-                        "POST", "/schedule", injector.malformed_payload()
+                        "POST", "/v1/schedule", injector.malformed_payload()
                     )
                 elif i < n_optimal:
                     data = optimal_enc[i % unique]
                 elif i < n_optimal + n_admit:
                     tasks = pool[i % unique]
                     data = codec.encode_request(
-                        "POST", "/admit", {"task": tasks[i % len(tasks)]}
+                        "POST", "/v1/admit", {"task": tasks[i % len(tasks)]}
                     )
                 else:
                     data = schedule_enc[i % unique]

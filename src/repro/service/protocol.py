@@ -31,7 +31,6 @@ __all__ = [
     "AdmitRequest",
     "OptimalRequest",
     "error_body",
-    "flatten_legacy_error",
     "is_error_body",
     "v1_envelope",
     "parse_tasks_field",
@@ -66,10 +65,8 @@ ERROR_CODES = {
 def error_body(code: str, message: str, detail: dict | None = None) -> dict:
     """The one error payload every endpoint produces.
 
-    ``/v1`` routes ship it verbatim (inside the response envelope) as
-    ``{"error": {"code", "message", "detail"?}}``; the legacy shims
-    flatten it through :func:`flatten_legacy_error` so pre-v1 clients
-    keep seeing the historical string-valued ``error`` field.
+    It travels inside the response envelope as
+    ``{"error": {"code", "message", "detail"?}}``.
     """
     err: dict = {"code": code, "message": message}
     if detail:
@@ -80,20 +77,6 @@ def error_body(code: str, message: str, detail: dict | None = None) -> dict:
 def is_error_body(payload) -> bool:
     """True when ``payload`` is an :func:`error_body` product."""
     return isinstance(payload, dict) and isinstance(payload.get("error"), dict)
-
-
-def flatten_legacy_error(payload: dict) -> dict:
-    """Unified error → the historical flat shape of the unprefixed routes.
-
-    ``{"error": "<message>", **detail}`` — detail keys (``max_inflight``,
-    ``timeout_s``, …) land at the top level exactly where legacy clients
-    and the pre-v1 test suite expect them.
-    """
-    err = payload["error"]
-    out = {"error": err["message"]}
-    for key, value in (err.get("detail") or {}).items():
-        out.setdefault(key, value)
-    return out
 
 
 def v1_envelope(payload, meta: dict) -> dict:
@@ -109,12 +92,12 @@ def v1_envelope(payload, meta: dict) -> dict:
 
 
 def schedule_methods() -> tuple[str, ...]:
-    """Names ``POST /schedule`` accepts: every registered solver."""
+    """Names ``POST /v1/schedule`` accepts: every registered solver."""
     return solver_names()
 
 
 def optimal_solvers() -> tuple[str, ...]:
-    """Registry names ``POST /optimal`` accepts (exact solvers only)."""
+    """Registry names ``POST /v1/optimal`` accepts (exact solvers only)."""
     return tuple(n for n in solver_names() if n.startswith("optimal:"))
 
 
@@ -233,7 +216,7 @@ def _power_from(body: dict, default_alpha: float, default_static: float) -> Poly
 
 @dataclass(frozen=True)
 class ScheduleRequest:
-    """Parsed ``POST /schedule`` body.
+    """Parsed ``POST /v1/schedule`` body.
 
     ``method`` keeps the client's spelling (echoed back in responses);
     ``solver`` is the canonical registry name used for dispatch, fusion,
@@ -282,7 +265,7 @@ class ScheduleRequest:
 
 @dataclass(frozen=True)
 class AdmitRequest:
-    """Parsed ``POST /admit`` body: one task for the admission controller.
+    """Parsed ``POST /v1/admit`` body: one task for the admission controller.
 
     Platform knobs (``m``/``alpha``/``static``/``gamma``/``f_max``) are
     optional overrides of the service defaults; the server keeps one
@@ -345,7 +328,7 @@ class AdmitRequest:
 
 @dataclass(frozen=True)
 class OptimalRequest:
-    """Parsed ``POST /optimal`` body.
+    """Parsed ``POST /v1/optimal`` body.
 
     ``solver`` keeps the client's spelling (echoed back in responses) but
     is validated against the registry at parse time, so unknown backends

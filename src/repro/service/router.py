@@ -4,11 +4,12 @@ One asyncio process owns the public listen socket and fans requests out
 to N shard processes (:mod:`repro.service.shard`), each a complete
 :class:`~repro.service.server.SchedulingService`:
 
-* **stateless traffic** (``/schedule``, ``/optimal``, ``/solvers``) is
-  balanced by least-outstanding across live shards; shard 429s pass
-  through, and when *every* shard is saturated the router sheds itself
-  with an aggregated 429 (``max_inflight = shards × per-shard bound``),
-* **stateful traffic** (``/admit``) is placed by consistent hash of the
+* **stateless traffic** (``/v1/schedule``, ``/v1/optimal``,
+  ``/v1/solvers``) is balanced by least-outstanding across live shards;
+  shard 429s pass through, and when *every* shard is saturated the
+  router sheds itself with an aggregated 429 (``max_inflight = shards ×
+  per-shard bound``),
+* **stateful traffic** (``/v1/admit``) is placed by consistent hash of the
   request's platform signature (:func:`~repro.service.shard.platform_key`),
   so each admission session lives on exactly one shard and its delta
   stream is bit-identical to a single-process deployment,
@@ -16,15 +17,16 @@ to N shard processes (:mod:`repro.service.shard`), each a complete
   (same ring position) and its admission sessions are rebuilt by
   replaying the router's journal of acknowledged admits before the
   triggering request is retried,
-* **observability** is merged: ``GET /metrics`` aggregates every shard's
+* **observability** is merged: ``GET /v1/metrics`` aggregates every shard's
   JSON page under per-shard keys, the Prometheus exposition renders all
   shards plus the router through one family writer with ``shard="<i>"``
   labels, and the router forwards/creates ``x-trace-id`` so shard-side
   spans join the same trace as the router's ``router.request`` span.
 
 Forwarded responses pass through **byte-for-byte** (no re-serialization),
-so a ``/v1`` payload served through the router is exactly what the shard
-produced — envelope, ``meta.shard`` and all.
+so a payload served through the router is exactly what the shard
+produced — envelope, ``meta.shard`` and all.  The HTTP layer is the
+subset in :mod:`repro.service.wire`, shared with the shard daemon.
 """
 
 from __future__ import annotations
@@ -36,51 +38,33 @@ import signal
 import time
 
 from ..obs import context as obs
+from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus_multi
 from .config import ServiceConfig
-from .loadgen import HttpClient, request_once
-from .metrics import MetricsRegistry
-from .protocol import (
-    API_VERSION,
-    error_body,
-    flatten_legacy_error,
-    is_error_body,
-    v1_envelope,
-)
+from .protocol import API_VERSION, error_body
 from .shard import HashRing, ShardManager, platform_key
+from .wire import FrontEnd, HttpClient, RawBody, encode_request, request_once
 
 __all__ = ["ShardRouter", "run_sharded_service"]
 
 log = logging.getLogger("repro.service.router")
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-_MAX_BODY = 16 * 1024 * 1024
 
 #: request headers the router forwards to shards (plus x-trace-id, which
 #: it always sets so spans stitch across the process hop)
 _FORWARD_HEADERS = ("accept", "content-type")
 
 
-class ShardRouter:
+class ShardRouter(FrontEnd):
     """Listen-socket owner + request fan-out for a sharded deployment."""
+
+    shard_label = "router"
 
     def __init__(self, config: ServiceConfig, shards: int | None = None):
         n = shards if shards is not None else config.shards
         if n < 1:
             raise ValueError("a sharded deployment needs shards >= 1")
+        super().__init__()
         self.config = config
         self.n = int(n)
         self.metrics = MetricsRegistry()
@@ -89,40 +73,26 @@ class ShardRouter:
         self._outstanding = [0] * self.n
         self._rr = 0  # least-outstanding tie-breaker
         self._admit_lock = asyncio.Lock()
-        # platform key → ordered acknowledged /admit bodies; replayed onto
+        # platform key → ordered acknowledged /v1/admit bodies; replayed onto
         # a respawned shard to rebuild its admission sessions
         self._journal: dict[str, list[dict]] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._closing = False
         self._started_at = 0.0
-        self._bases = {"/schedule", "/admit", "/optimal", "/metrics", "/healthz"}
-        self._routable: set[tuple[str, str]] = set()
-        for method, base in (
-            ("POST", "/schedule"),
-            ("POST", "/admit"),
-            ("POST", "/optimal"),
-            ("GET", "/metrics"),
-            ("GET", "/healthz"),
+        for method, base, handler in (
+            ("POST", "/schedule", self._forward),
+            ("POST", "/admit", self._forward),
+            ("POST", "/optimal", self._forward),
+            ("GET", "/solvers", self._forward),
+            ("GET", "/metrics", self._merged_metrics),
+            ("GET", "/healthz", self._health),
         ):
-            self._routable.add((method, base))
-            self._routable.add((method, f"/{API_VERSION}{base}"))
-        self._routable.add(("GET", f"/{API_VERSION}/solvers"))
+            self._routes[(method, f"/{API_VERSION}{base}")] = handler
 
     # -- lifecycle -----------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("router is not running")
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
         await self.manager.start()  # shards first: never accept before ready
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
+        await self._listen(self.config.host, self.config.port)
         log.info(
             "router listening on %s:%d (%d shards: %s)",
             self.config.host,
@@ -132,153 +102,15 @@ class ShardRouter:
         )
 
     async def stop(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._connections):
-            writer.close()
+        await self._stop_listening()
         # let per-connection tasks unwind (and close their shard clients)
         # before the shards those clients talk to are torn down
-        deadline = time.monotonic() + 1.0
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        await self._close_connections()
         await self.manager.stop()
         self._server = None
         log.info("router shutdown complete: %s", self.metrics.summary_line())
 
-    # -- HTTP plumbing (mirrors server.py's minimal HTTP/1.1 subset) ---------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._connections.add(writer)
-        clients: dict[int, HttpClient] = {}  # per-connection shard clients
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                if self._closing:
-                    keep_alive = False
-                    status, payload, extra = self._shape(
-                        503, error_body("shutting_down", "shutting down"), path
-                    )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
-                    )
-                else:
-                    await self._serve(
-                        writer, clients, method, path, headers, body, keep_alive
-                    )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            for client in clients.values():
-                await client.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _read_request(self, reader, writer):
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split()
-        except ValueError:
-            await self._write_json(
-                writer,
-                400,
-                flatten_legacy_error(
-                    error_body("bad_request", "malformed request line")
-                ),
-                False,
-            )
-            return None
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            status, payload, extra = self._shape(
-                413, error_body("payload_too_large", "body too large"), target
-            )
-            await self._write_json(writer, status, payload, False, extra)
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
-
-    async def _write_json(
-        self, writer, status, payload, keep_alive, extra_headers=None
-    ) -> None:
-        if isinstance(payload, tuple):  # (text, content_type) raw response
-            data = payload[0].encode()
-            ctype = payload[1]
-        else:
-            data = json.dumps(payload).encode()
-            ctype = "application/json"
-        await self._write_raw(
-            writer, status, ctype, data, keep_alive, extra_headers
-        )
-
-    async def _write_raw(
-        self, writer, status, ctype, data, keep_alive, extra_headers=None
-    ) -> None:
-        extra = "".join(
-            f"{k}: {v}\r\n" for k, v in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
-
-    # -- response shaping (router-originated responses only) -----------------------
-
-    def _shape(self, status, payload, path, trace_id=None):
-        """Dress a router-originated payload for the path's wire dialect."""
-        if path.startswith(f"/{API_VERSION}/"):
-            meta = {
-                "api_version": API_VERSION,
-                "solver": None,
-                "shard": "router",
-                "trace_id": trace_id,
-            }
-            return status, v1_envelope(payload, meta), None
-        if is_error_body(payload):
-            payload = flatten_legacy_error(payload)
-        extra = None
-        if path in self._bases:
-            extra = {
-                "Deprecation": "true",
-                "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
-            }
-        return status, payload, extra
-
     # -- routing -------------------------------------------------------------------
-
-    @staticmethod
-    def _base_path(path: str) -> str:
-        prefix = f"/{API_VERSION}"
-        return path[len(prefix):] if path.startswith(prefix + "/") else path
 
     def _pick_stateless(self) -> int:
         """Least-outstanding live shard (round-robin tie-break)."""
@@ -300,21 +132,8 @@ class ShardRouter:
             for i in range(self.n)
         )
 
-    async def _serve(
-        self, writer, clients, method, path, headers, body, keep_alive
-    ) -> None:
-        if (method, path) not in self._routable:
-            known = {p for (_, p) in self._routable}
-            status = 405 if path in known else 404
-            code = "method_not_allowed" if status == 405 else "not_found"
-            status, payload, extra = self._shape(
-                status, error_body(code, f"no route {method} {path}"), path
-            )
-            await self._write_json(writer, status, payload, keep_alive, extra)
-            return
-
+    async def _serve(self, handler, method, path, headers, body, clients):
         self.metrics.counter(f"requests_total:{path}").inc()
-        base = self._base_path(path)
         t0 = time.perf_counter()
         with obs.capture() as spans:
             with obs.span(
@@ -323,49 +142,9 @@ class ShardRouter:
                 path=path,
                 method=method,
             ) as root:
-                if base == "/metrics":
-                    status, payload, extra = await self._merged_metrics(
-                        path, headers, root.trace_id
-                    )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
-                    )
-                elif base == "/healthz":
-                    status, payload, extra = self._shape(
-                        200, self._health_payload(), path, root.trace_id
-                    )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
-                    )
-                elif self._all_saturated():
-                    self.metrics.counter("shed_total").inc()
-                    status = 429
-                    s, payload, extra = self._shape(
-                        429,
-                        error_body(
-                            "overloaded",
-                            "all shards overloaded",
-                            {
-                                "max_inflight": self.n
-                                * self.config.max_inflight,
-                                "shards": self.n,
-                            },
-                        ),
-                        path,
-                        root.trace_id,
-                    )
-                    await self._write_json(writer, s, payload, keep_alive, extra)
-                else:
-                    status = await self._forward(
-                        writer,
-                        clients,
-                        method,
-                        path,
-                        headers,
-                        body,
-                        keep_alive,
-                        root,
-                    )
+                status, payload = await handler(
+                    clients, method, path, headers, body, root
+                )
                 root.set("http_status", status)
         for sp in spans:
             self.metrics.histogram(
@@ -375,23 +154,13 @@ class ShardRouter:
             (time.perf_counter() - t0) * 1e3
         )
         self.metrics.counter(f"responses:{path}:{status}").inc()
+        return status, payload
+
+    async def _connection_closed(self, clients: dict) -> None:
+        for client in clients.values():
+            await client.close()
 
     # -- forwarding ----------------------------------------------------------------
-
-    def _encode_forward(self, method, path, headers, body, trace_id) -> bytes:
-        fwd = {
-            k: headers[k] for k in _FORWARD_HEADERS if k in headers
-        }
-        fwd["x-trace-id"] = trace_id
-        extra = "".join(f"{k}: {v}\r\n" for k, v in fwd.items())
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: 127.0.0.1\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        return head + body
 
     async def _shard_client(self, clients, shard_id: int) -> HttpClient:
         shard = self.manager.get(shard_id)
@@ -403,11 +172,21 @@ class ShardRouter:
             clients[shard_id] = client
         return client
 
-    async def _forward(
-        self, writer, clients, method, path, headers, body, keep_alive, root
-    ) -> int:
-        base = self._base_path(path)
-        is_admit = base == "/admit"
+    async def _forward(self, clients, method, path, headers, body, root):
+        if self._all_saturated():
+            self.metrics.counter("shed_total").inc()
+            return 429, self._envelope(
+                error_body(
+                    "overloaded",
+                    "all shards overloaded",
+                    {
+                        "max_inflight": self.n * self.config.max_inflight,
+                        "shards": self.n,
+                    },
+                ),
+                root.trace_id,
+            )
+        is_admit = path == f"/{API_VERSION}/admit"
         admit_body = None
         if is_admit:
             try:
@@ -419,7 +198,10 @@ class ShardRouter:
         else:
             shard_id = self._pick_stateless()
         root.set("shard", shard_id)
-        data = self._encode_forward(method, path, headers, body, root.trace_id)
+        fwd = {"Host": "127.0.0.1"}
+        fwd.update((k, headers[k]) for k in _FORWARD_HEADERS if k in headers)
+        fwd["x-trace-id"] = root.trace_id
+        data = encode_request(method, path, body, fwd)
 
         if is_admit:
             # admissions are stateful: serialize them router-wide so the
@@ -433,35 +215,19 @@ class ShardRouter:
             result = await self._dispatch(clients, shard_id, data, is_admit)
 
         if result is None:
-            status, payload, extra = self._shape(
-                502,
+            return 502, self._envelope(
                 error_body(
                     "bad_gateway",
                     f"shard {shard_id} unavailable",
                     {"shard": shard_id},
                 ),
-                path,
                 root.trace_id,
             )
-            await self._write_json(writer, status, payload, keep_alive, extra)
-            return 502
 
         status, resp_headers, resp_body = result
         self.metrics.counter(f"routed:shard-{shard_id}").inc()
-        fwd_headers = {}
-        if "deprecation" in resp_headers:
-            fwd_headers["Deprecation"] = resp_headers["deprecation"]
-        if "link" in resp_headers:
-            fwd_headers["Link"] = resp_headers["link"]
-        await self._write_raw(
-            writer,
-            status,
-            resp_headers.get("content-type", "application/json"),
-            resp_body,
-            keep_alive,
-            fwd_headers or None,
-        )
-        return status
+        ctype = resp_headers.get("content-type", "application/json")
+        return status, RawBody(resp_body, ctype)
 
     async def _dispatch(
         self, clients, shard_id: int, data: bytes, is_admit: bool
@@ -511,7 +277,7 @@ class ShardRouter:
                 continue
             for body in bodies:
                 status, _ = await request_once(
-                    "127.0.0.1", shard.port, "POST", "/admit", body
+                    "127.0.0.1", shard.port, "POST", f"/{API_VERSION}/admit", body
                 )
                 if status != 200:  # pragma: no cover - deterministic replay
                     log.error(
@@ -541,11 +307,11 @@ class ShardRouter:
             return None
         try:
             status, page = await request_once(
-                "127.0.0.1", shard.port, "GET", "/metrics"
+                "127.0.0.1", shard.port, "GET", f"/{API_VERSION}/metrics"
             )
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             return None
-        return page if status == 200 else None
+        return page["result"] if status == 200 else None
 
     def _shard_status(self) -> list[dict]:
         out = []
@@ -562,18 +328,21 @@ class ShardRouter:
             )
         return out
 
-    def _health_payload(self) -> dict:
+    async def _health(self, _clients, _method, _path, _headers, _body, root):
         from .. import __version__
 
         statuses = self._shard_status()
-        return {
-            "status": "ok" if all(s["alive"] for s in statuses) else "degraded",
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "version": __version__,
-            "shards": statuses,
-        }
+        return 200, self._envelope(
+            {
+                "status": "ok" if all(s["alive"] for s in statuses) else "degraded",
+                "uptime_s": round(time.monotonic() - self._started_at, 3),
+                "version": __version__,
+                "shards": statuses,
+            },
+            root.trace_id,
+        )
 
-    async def _merged_metrics(self, path, headers, trace_id):
+    async def _merged_metrics(self, _clients, _method, _path, headers, _body, root):
         pages = await asyncio.gather(
             *(self._shard_metrics_page(i) for i in range(self.n))
         )
@@ -605,7 +374,7 @@ class ShardRouter:
                     }
                 )
             text = render_prometheus_multi(sections)
-            return 200, (text, _PROM_CONTENT_TYPE), None
+            return 200, RawBody(text.encode(), _PROM_CONTENT_TYPE)
         payload = {
             "uptime_s": uptime,
             "router": {
@@ -617,7 +386,7 @@ class ShardRouter:
                 str(i): page for i, page in enumerate(pages) if page is not None
             },
         }
-        return self._shape(200, payload, path, trace_id)
+        return 200, self._envelope(payload, root.trace_id)
 
 
 async def run_sharded_service(config: ServiceConfig, shards: int | None = None):

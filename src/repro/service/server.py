@@ -1,6 +1,6 @@
 """The asyncio scheduling daemon: HTTP/JSON front end over the pipeline.
 
-Request flow for ``POST /schedule``::
+Request flow for ``POST /v1/schedule``::
 
     parse → canonicalize → cache probe ──hit──→ respond (no pool entry)
                                 └─miss─→ micro-batcher → process pool → respond
@@ -17,9 +17,8 @@ Robustness:
   the batcher, and only then tears down the executor: an accepted
   request is never dropped.
 
-The HTTP layer is a minimal, dependency-free HTTP/1.1 subset (JSON
-bodies, ``Content-Length`` framing, keep-alive) — enough for the API and
-the loadgen client, not a general-purpose web server.
+The HTTP layer is the subset in :mod:`repro.service.wire`, shared with
+the shard router.
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ import signal
 import time
 
 from ..obs import context as obs
+from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
 from .batcher import MicroBatcher
 from .cache import PlanCache
 from .config import ServiceConfig
 from .faults import FaultInjector
-from .metrics import MetricsRegistry
 from .pool import SolveDispatcher
 from .protocol import (
     API_VERSION,
@@ -50,49 +49,25 @@ from .protocol import (
     canonical_order,
     canonical_plan_key,
     error_body,
-    flatten_legacy_error,
     is_error_body,
-    v1_envelope,
 )
+from .wire import FrontEnd, RawBody
 
 __all__ = ["SchedulingService", "run_service"]
 
 log = logging.getLogger("repro.service")
 
-_MAX_BODY = 16 * 1024 * 1024  # refuse absurd payloads before buffering them
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-class _RawText:
-    """A pre-rendered non-JSON response body (Prometheus exposition)."""
-
-    __slots__ = ("text", "content_type")
-
-    def __init__(self, text: str, content_type: str):
-        self.text = text
-        self.content_type = content_type
-
-
-class SchedulingService:
+class SchedulingService(FrontEnd):
     """One daemon instance; embeddable (tests) or run via :func:`run_service`."""
 
     def __init__(self, config: ServiceConfig | None = None):
         from ..core.admission import AdmissionController
         from ..power.models import PolynomialPower
 
+        super().__init__()
         self.config = config or ServiceConfig()
+        self.shard_label = self.config.shard_id
         self.metrics = MetricsRegistry()
         self.cache = PlanCache(self.config.cache_size)
         spec = self.config.fault_spec()
@@ -117,7 +92,7 @@ class SchedulingService:
             ),
             f_max=self.config.f_max,
         )
-        # one admission session per platform signature: /admit requests
+        # one admission session per platform signature: /v1/admit requests
         # naming a different platform (m/alpha/static/gamma/f_max) get
         # their own committed plan instead of clobbering the default one;
         # the default platform maps to self.admission for compatibility
@@ -126,42 +101,22 @@ class SchedulingService:
         }
         self._admit_lock = asyncio.Lock()
         self._exporter: obs.JsonlExporter | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
         self._in_progress = 0
         self._drained: asyncio.Event = asyncio.Event()
         self._drained.set()
-        self._closing = False
         self._started_at = 0.0
         self._log_task: asyncio.Task | None = None
-        # route table: (method, path) → (handler, api flavor).  Every
-        # endpoint is served under the versioned "/v1" prefix; the bare
-        # legacy paths stay as thin shims (same handlers) that flatten
-        # errors to the historical shape and answer with a Deprecation
-        # header, so pre-v1 clients keep working unchanged.
-        self._routes: dict[tuple[str, str], tuple] = {}
         for method, base, handler in (
             ("POST", "/schedule", self._handle_schedule),
             ("POST", "/admit", self._handle_admit),
             ("POST", "/optimal", self._handle_optimal),
             ("GET", "/metrics", self._handle_metrics),
             ("GET", "/healthz", self._handle_healthz),
+            ("GET", "/solvers", self._handle_solvers),
         ):
-            self._routes[(method, base)] = (handler, "legacy")
-            self._routes[(method, f"/{API_VERSION}{base}")] = (handler, "v1")
-        self._routes[("GET", f"/{API_VERSION}/solvers")] = (
-            self._handle_solvers,
-            "v1",
-        )
+            self._routes[(method, f"/{API_VERSION}{base}")] = handler
 
     # -- lifecycle -----------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the ephemeral choice)."""
-        if self._server is None:
-            raise RuntimeError("service is not running")
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
@@ -169,9 +124,7 @@ class SchedulingService:
             self._exporter = obs.JsonlExporter(
                 self.config.trace_path, self.config.trace_sample
             )
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
+        await self._listen(self.config.host, self.config.port)
         if self.config.log_interval > 0:
             self._log_task = asyncio.get_running_loop().create_task(
                 self._log_periodically()
@@ -193,10 +146,7 @@ class SchedulingService:
 
     async def stop(self) -> None:
         """Graceful shutdown: drain accepted requests, then tear down."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
         await self._drained.wait()  # every accepted request has responded
         await self.batcher.close()
         if self._log_task is not None:
@@ -205,13 +155,7 @@ class SchedulingService:
         await asyncio.get_running_loop().run_in_executor(
             None, self.dispatcher.shutdown
         )
-        for writer in list(self._connections):  # idle keep-alive connections
-            writer.close()
-        # let the loop deliver the EOFs so per-connection tasks unwind
-        # cleanly instead of being cancelled mid-read at loop teardown
-        deadline = time.monotonic() + 1.0
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        await self._close_connections()
         if self._exporter is not None:
             self._exporter.close()
             self._exporter = None
@@ -223,194 +167,29 @@ class SchedulingService:
             await asyncio.sleep(self.config.log_interval)
             log.info("%s", self.metrics.summary_line())
 
-    # -- HTTP plumbing -------------------------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                extra_headers = None
-                if self._closing:
-                    keep_alive = False
-                    status, payload, extra_headers = self._shape(
-                        503, error_body("shutting_down", "shutting down"), path
-                    )
-                else:
-                    status, payload, extra_headers = await self._serve(
-                        method, path, headers, body
-                    )
-                if self.injector is not None:
-                    # chaos: hold the response, or sever the connection in
-                    # place of writing it (the client sees a reset and may
-                    # retry — the request itself was fully processed)
-                    await self.injector.maybe_delay()
-                    if self.injector.should_drop():
-                        self.metrics.counter("faults_dropped_responses").inc()
-                        break
-                await self._write_response(
-                    writer, status, payload, keep_alive, extra_headers
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # teardown only: nothing left to do for this connection
-
-    async def _read_request(self, reader, writer):
-        """Parse one HTTP request; None on clean EOF, 400 on malformed input."""
-        try:
-            # one readuntil for the whole head: fewer event-loop round trips
-            # per request than line-by-line parsing (this path is the serving
-            # hot loop)
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF between keep-alive requests
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split()
-        except ValueError:
-            await self._write_response(
-                writer,
-                400,
-                flatten_legacy_error(
-                    error_body("bad_request", "malformed request line")
-                ),
-                False,
-            )
-            return None
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            status, payload, extra = self._shape(
-                413, error_body("payload_too_large", "body too large"), target
-            )
-            await self._write_response(writer, status, payload, False, extra)
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
-
-    async def _write_response(
-        self,
-        writer,
-        status: int,
-        payload,
-        keep_alive: bool,
-        extra_headers: dict | None = None,
-    ) -> None:
-        if isinstance(payload, _RawText):
-            data = payload.text.encode()
-            ctype = payload.content_type
-        else:
-            data = json.dumps(payload).encode()
-            ctype = "application/json"
-        extra = "".join(
-            f"{k}: {v}\r\n" for k, v in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
-
     # -- routing + robustness ------------------------------------------------------
 
-    _LEGACY_PATHS = frozenset(
-        {"/schedule", "/admit", "/optimal", "/metrics", "/healthz"}
-    )
-
-    def _api_flavor(self, path: str) -> str:
-        """Which wire dialect a path speaks: versioned ``v1`` or legacy."""
-        return "v1" if path.startswith(f"/{API_VERSION}/") else "legacy"
-
     def _meta(self, payload, trace_id: str | None) -> dict:
-        """The ``meta`` block every ``/v1`` response carries."""
-        meta = {
-            "api_version": API_VERSION,
-            "solver": None,
-            "shard": self.config.shard_id,
-            "trace_id": trace_id,
-        }
+        """The ``meta`` block, naming the solver that produced a result."""
+        meta = super()._meta(payload, trace_id)
         if isinstance(payload, dict) and not is_error_body(payload):
             meta["solver"] = payload.get("solver") or payload.get("method")
             if payload.get("degraded_from"):
                 meta["degraded_from"] = payload["degraded_from"]
         return meta
 
-    def _shape(
-        self, status: int, payload, path: str, trace_id: str | None = None
-    ):
-        """Dress one endpoint payload for the wire dialect ``path`` speaks.
-
-        ``/v1`` responses get the envelope (``result``/``error`` + ``meta``);
-        legacy responses get unified errors flattened back to the
-        historical string-``error`` shape plus a ``Deprecation`` header
-        pointing at the versioned successor.  Raw text (the Prometheus
-        exposition) passes through untouched — it is its own contract.
-        """
-        if isinstance(payload, _RawText):
-            return status, payload, None
-        if self._api_flavor(path) == "v1":
-            return status, v1_envelope(payload, self._meta(payload, trace_id)), None
-        if is_error_body(payload):
-            payload = flatten_legacy_error(payload)
-        extra = None
-        if path in self._LEGACY_PATHS:
-            extra = {
-                "Deprecation": "true",
-                "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
-            }
-        return status, payload, extra
-
-    async def _serve(self, method: str, path: str, headers: dict, body: bytes):
-        """Route one request, with shedding, deadline, and metrics wrapping."""
-        route = self._routes.get((method, path))
-        if route is None:
-            known = {p for (_, p) in self._routes}
-            status = 405 if path in known else 404
-            code = "method_not_allowed" if status == 405 else "not_found"
-            return self._shape(
-                status, error_body(code, f"no route {method} {path}"), path
-            )
-        handler, flavor = route
-        if flavor == "legacy":
-            self.metrics.counter("legacy_requests_total").inc()
-
+    async def _serve(self, handler, method, path, headers, body, _conn):
+        """One routed request, with shedding, deadline, and metrics wrapping."""
         self.metrics.counter(f"requests_total:{path}").inc()
         if self._in_progress >= self.config.max_inflight:
             self.metrics.counter("shed_total").inc()
             self.metrics.counter(f"responses:{path}:429").inc()
-            return self._shape(
-                429,
+            return 429, self._envelope(
                 error_body(
                     "overloaded",
                     "overloaded",
                     {"max_inflight": self.config.max_inflight},
                 ),
-                path,
                 headers.get("x-trace-id") or None,
             )
 
@@ -468,7 +247,15 @@ class SchedulingService:
             (time.perf_counter() - t0) * 1e3
         )
         self.metrics.counter(f"responses:{path}:{status}").inc()
-        return self._shape(status, payload, path, root.trace_id)
+        if self.injector is not None:
+            # chaos: hold the response, or sever the connection in place of
+            # writing it (the client sees a reset and may retry — the
+            # request itself was fully processed)
+            await self.injector.maybe_delay()
+            if self.injector.should_drop():
+                self.metrics.counter("faults_dropped_responses").inc()
+                return None
+        return status, self._envelope(payload, root.trace_id)
 
     def _ingest_spans(self, spans: list[dict]) -> None:
         """Fold a request's finished spans into histograms and the export.
@@ -476,7 +263,7 @@ class SchedulingService:
         Every span name becomes a ``stage_ms:<name>`` histogram series
         (colons in names like ``solver:subinterval-der`` become dots so
         the Prometheus renderer's label convention stays unambiguous), so
-        the per-stage latency breakdown is on ``GET /metrics`` even when
+        the per-stage latency breakdown is on ``GET /v1/metrics`` even when
         no trace file is configured.
         """
         for sp in spans:
@@ -740,7 +527,7 @@ class SchedulingService:
                 "pool_dispatches": self.dispatcher.dispatch_count,
             }
             text = render_prometheus(self.metrics.snapshot(), extra_gauges=extra)
-            return 200, _RawText(text, _PROM_CONTENT_TYPE)
+            return 200, RawBody(text.encode(), _PROM_CONTENT_TYPE)
         return 200, {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "metrics": self.metrics.snapshot(),

@@ -7,7 +7,7 @@ pool, plan cache, metrics registry, admission sessions) bound to an
 ephemeral localhost port.  This module owns everything below the router's
 HTTP layer:
 
-* :class:`HashRing` — consistent hashing with virtual nodes.  ``/admit``
+* :class:`HashRing` — consistent hashing with virtual nodes.  ``/v1/admit``
   requests are placed by :func:`platform_key` (the normalized platform
   signature ``m/alpha/static/gamma/f_max``), so every admission session
   lives on exactly one shard and survives membership-neutral restarts at
@@ -101,7 +101,7 @@ def _norm(value, default):
 
 
 def platform_key(body, config: ServiceConfig) -> str:
-    """The consistent-hash key of one ``/admit`` request body.
+    """The consistent-hash key of one ``/v1/admit`` request body.
 
     Mirrors the per-platform session identity the server keys its
     admission pool on (``Platform.signature()``): core count and power

@@ -8,10 +8,11 @@ end:
   (no 5xx, no dropped connections),
 * **merged exposition** — the Prometheus scrape parses (one HELP/TYPE
   header per family) and carries at least router + 3 shard label values,
-* **bit-equal sessions** — the same seeded ``/admit`` streams replayed
-  against a 1-shard router produce byte-identical per-event responses and
-  identical final plan snapshots (boundaries, x, energy) per platform,
-* **envelope** — every ``/v1`` response carries the ``meta`` block.
+* **bit-equal sessions** — the same seeded ``/v1/admit`` streams replayed
+  against a 1-shard router produce byte-identical per-event ``result``
+  documents and identical final plan snapshots (boundaries, x, energy)
+  per platform,
+* **envelope** — every ``/v1/schedule`` response carries the ``meta`` block.
 
 Run directly::
 
@@ -27,7 +28,7 @@ import re
 import sys
 
 from .config import ServiceConfig
-from .loadgen import HttpClient, request_once
+from .wire import HttpClient, request_once
 from .router import ShardRouter
 
 #: distinct admission platforms — different f_max caps hash to different
@@ -79,27 +80,25 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
     try:
         for i, platform in enumerate(PLATFORMS):
             status, _ = await client.request(
-                "POST", "/admit", {"reset": True, **platform}
+                "POST", "/v1/admit", {"reset": True, **platform}
             )
             if status != 200:
                 failures.append(f"admit reset answered {status}")
 
         n_schedule = n_requests - sum(len(s) for s in streams)
         for k in range(max(n_schedule, 0)):
-            path = "/v1/schedule" if k % 2 == 0 else "/schedule"
             status, body = await client.request(
-                "POST", path,
+                "POST", "/v1/schedule",
                 {"tasks": tasksets[k % len(tasksets)],
                  "include_schedule": False},
             )
             if status != 200:
-                failures.append(f"{path} #{k} answered {status}: {body}")
+                failures.append(f"/v1/schedule #{k} answered {status}: {body}")
                 continue
-            if path.startswith("/v1"):
-                if "result" not in body or "meta" not in body:
-                    failures.append(f"{path} response missing the v1 envelope")
-                elif body["meta"].get("shard") is None:
-                    failures.append(f"{path} meta.shard is null behind a router")
+            if "result" not in body or "meta" not in body:
+                failures.append("/v1/schedule response missing the v1 envelope")
+            elif body["meta"].get("shard") is None:
+                failures.append("/v1/schedule meta.shard is null behind a router")
 
         # interleave the platform streams so shard-affinity is exercised
         # under mixed traffic, not one platform at a time
@@ -109,7 +108,7 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                 if step >= len(streams[i]):
                     continue
                 status, body = await client.request(
-                    "POST", "/admit",
+                    "POST", "/v1/admit",
                     {"task": streams[i][step], **platform},
                 )
                 if status != 200:
@@ -117,17 +116,17 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                         f"admit platform {i} event {step} answered {status}"
                     )
                     continue
-                admit_log[i].append(json.dumps(body, sort_keys=True))
+                admit_log[i].append(json.dumps(body["result"], sort_keys=True))
 
         peeks = []
         for platform in PLATFORMS:
             status, body = await client.request(
-                "POST", "/admit", {"peek": True, **platform}
+                "POST", "/v1/admit", {"peek": True, **platform}
             )
             if status != 200:
                 failures.append(f"peek answered {status}")
-                body = {}
-            peeks.append(json.dumps(body, sort_keys=True))
+                body = {"result": {}}
+            peeks.append(json.dumps(body["result"], sort_keys=True))
     finally:
         await client.close()
     return admit_log, peeks
@@ -174,7 +173,7 @@ async def shard_smoke(n_requests: int = 90, seed: int = 7) -> list[str]:
 
         status, _, body = await HttpClient(
             "127.0.0.1", router3.port
-        ).request_full("GET", "/metrics", headers={"Accept": "text/plain"})
+        ).request_full("GET", "/v1/metrics", headers={"Accept": "text/plain"})
         if status != 200:
             failures.append(f"prometheus scrape answered {status}")
         else:
@@ -183,7 +182,7 @@ async def shard_smoke(n_requests: int = 90, seed: int = 7) -> list[str]:
         status, page = await request_once(
             "127.0.0.1", router3.port, "GET", "/v1/metrics"
         )
-        if status != 200 or set(page.get("result", {}).get("shards", {})) != {
+        if status != 200 or set(page["result"].get("shards", {})) != {
             "0", "1", "2"
         }:
             failures.append("merged JSON metrics missing per-shard pages")

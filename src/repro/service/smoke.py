@@ -27,40 +27,40 @@ async def _check(service: SchedulingService) -> list[str]:
         status, body = await request_once(host, port, method, path, payload)
         if status != 200:
             failures.append(f"{label}: HTTP {status}: {body.get('error')}")
-        elif not predicate(body):
+        elif not predicate(body["result"]):
             failures.append(f"{label}: unexpected body {body}")
         else:
             print(f"  ok  {method} {path}")
 
     await expect(
-        "GET", "/healthz", None, lambda b: b.get("status") == "ok", "healthz"
+        "GET", "/v1/healthz", None, lambda b: b.get("status") == "ok", "healthz"
     )
     await expect(
         "POST",
-        "/schedule",
+        "/v1/schedule",
         {"tasks": _TASKS, "m": 2, "static": 0.1, "method": "der"},
         lambda b: b.get("energy", 0) > 0 and b.get("kind") == "S^F2",
         "schedule",
     )
     await expect(
         "POST",
-        "/admit",
+        "/v1/admit",
         {"task": {"release": 0.0, "deadline": 5.0, "work": 2.0}},
         lambda b: b.get("accepted") is True,
         "admit",
     )
     await expect(
         "POST",
-        "/optimal",
+        "/v1/optimal",
         {"tasks": _TASKS, "m": 2, "static": 0.1},
         lambda b: b.get("energy", 0) > 0,
         "optimal",
     )
     await expect(
         "GET",
-        "/metrics",
+        "/v1/metrics",
         None,
-        lambda b: b["metrics"]["counters"].get("requests_total:/schedule") == 1,
+        lambda b: b["metrics"]["counters"].get("requests_total:/v1/schedule") == 1,
         "metrics",
     )
     return failures

@@ -119,12 +119,12 @@ class TestContentNegotiation:
             await service.start()
             try:
                 await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     {"tasks": _TASKS, "m": 2, "method": "der"},
                 )
                 headers = {"Accept": accept} if accept else None
                 return await request_once(
-                    "127.0.0.1", service.port, "GET", "/metrics",
+                    "127.0.0.1", service.port, "GET", "/v1/metrics",
                     headers=headers,
                 )
             finally:
@@ -136,7 +136,7 @@ class TestContentNegotiation:
         status, body = self._fetch(None)
         assert status == 200
         assert "text" not in body
-        hist = body["metrics"]["histograms"]
+        hist = body["result"]["metrics"]["histograms"]
         assert hist  # latency + stage histograms exist
         for snap in hist.values():
             assert "window_len" in snap and "window" in snap
@@ -148,7 +148,7 @@ class TestContentNegotiation:
         # so this also proves the Content-Type header changed
         fams = parse_exposition(body["text"])
         assert fams["repro_requests_total"]["samples"][
-            'repro_requests_total{path="/schedule"}'
+            'repro_requests_total{path="/v1/schedule"}'
         ] >= 1
         # the traced request pipeline feeds stage histograms, and every
         # summary family carries its window_len gauge

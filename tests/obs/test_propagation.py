@@ -17,7 +17,7 @@ from repro.service import SchedulingService, ServiceConfig
 from repro.service.config import RetryPolicy
 from repro.service.faults import FaultInjector, FaultSpec
 from repro.service.loadgen import request_once
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.pool import SolveDispatcher
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
@@ -65,10 +65,10 @@ class TestServiceSpanTrees:
 
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "m": 2, "method": "der"},
             )
-            assert status == 200 and "_spans" not in body
+            assert status == 200 and "_spans" not in body["result"]
 
         _run_service(scenario, trace_path=str(path))
         traces = group_traces(load_spans(path))
@@ -81,7 +81,7 @@ class TestServiceSpanTrees:
             assert required in names, f"missing {required}: {names}"
         # parentage: solver under engine under pool under the root
         root = tv.root
-        assert root["attrs"]["path"] == "/schedule"
+        assert root["attrs"]["path"] == "/v1/schedule"
         assert root["attrs"]["http_status"] == 200
         pool = tv.by_name("pool.solve")[0]
         engine = tv.by_name("engine.solve")[0]
@@ -98,7 +98,7 @@ class TestServiceSpanTrees:
 
         async def scenario(service):
             await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "m": 2, "method": "der"},
                 headers={"x-trace-id": tid},
             )
@@ -113,13 +113,13 @@ class TestServiceSpanTrees:
         async def scenario(service):
             payload = {"tasks": _TASKS, "m": 2, "method": "der"}
             await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", payload
+                "127.0.0.1", service.port, "POST", "/v1/schedule", payload
             )
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", payload
+                "127.0.0.1", service.port, "POST", "/v1/schedule", payload
             )
-            assert status == 200 and body["cache_hit"] is True
-            assert "_spans" not in body
+            assert status == 200 and body["result"]["cache_hit"] is True
+            assert "_spans" not in body["result"]
 
         _run_service(scenario, trace_path=str(path))
         traces = group_traces(load_spans(path))
@@ -134,10 +134,10 @@ class TestServiceSpanTrees:
 
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/optimal",
+                "127.0.0.1", service.port, "POST", "/v1/optimal",
                 {"tasks": _TASKS, "m": 2, "alpha": 3.0, "static": 0.1},
             )
-            assert status == 200 and "_spans" not in body
+            assert status == 200 and "_spans" not in body["result"]
 
         _run_service(scenario, trace_path=str(path))
         (tv,) = group_traces(load_spans(path))
@@ -147,7 +147,7 @@ class TestServiceSpanTrees:
     def test_no_trace_path_exports_nothing_but_feeds_stage_metrics(self):
         async def scenario(service):
             await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "m": 2, "method": "der"},
             )
             snap = service.metrics.snapshot()
@@ -165,7 +165,7 @@ class TestServiceSpanTrees:
 
         async def scenario(service):
             await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "m": 2, "method": "der"},
             )
 
@@ -233,7 +233,7 @@ class TestCrashRetryPropagation:
 
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "m": 2, "method": "der"},
             )
             assert status == 200

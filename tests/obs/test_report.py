@@ -30,11 +30,11 @@ def _sp(name, trace=_T1, span_id="s1", parent=None, start=0.0, dur=1.0, **attrs)
     }
 
 
-def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0):
+def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0, path="/schedule"):
     """A complete service→pool→engine→solver tree plus queue wait."""
     return [
         _sp("service.request", trace, "r", None, base, 12.0,
-            path="/schedule", method="POST", http_status=200),
+            path=path, method="POST", http_status=200),
         _sp("cache.probe", trace, "c", "r", base, 0.05, hit=False),
         _sp("batch.queue", trace, "q", "r", base + 0.001, 2.0),
         _sp("pool.solve", trace, "p", "r", base + 0.003, 9.0),
@@ -45,10 +45,10 @@ def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0):
     ]
 
 
-def _hit_trace(trace=_T2, base=200.0):
+def _hit_trace(trace=_T2, base=200.0, path="/schedule"):
     return [
         _sp("service.request", trace, "r2", None, base, 0.4,
-            path="/schedule", method="POST", http_status=200),
+            path=path, method="POST", http_status=200),
         _sp("cache.probe", trace, "c2", "r2", base, 0.05, hit=True),
     ]
 
@@ -132,6 +132,15 @@ class TestAggregation:
         assert attr["hit_rate"] == 0.5
         assert attr["hit_p50_ms"] == 0.4
         assert attr["miss_p50_ms"] == 12.0
+
+    def test_v1_schedule_roots_are_scheduled_and_attributed(self):
+        traces = group_traces(
+            _scheduled_trace(path="/v1/schedule") + _hit_trace(path="/v1/schedule")
+        )
+        assert traces[0].is_scheduled()
+        attr = cache_attribution(traces)
+        assert attr["schedule_requests"] == 2
+        assert attr["hits"] == 1 and attr["misses"] == 1
 
 
 class TestSummaryAndReport:

@@ -34,21 +34,21 @@ class TestPerPlatformSessions:
             try:
                 # saturate the single-core platform
                 _, a = await client.request(
-                    "POST", "/admit",
+                    "POST", "/v1/admit",
                     {"task": [0.0, 10.0, 10.0], "m": 1, "f_max": 1.0},
                 )
                 _, b = await client.request(
-                    "POST", "/admit",
+                    "POST", "/v1/admit",
                     {"task": [0.0, 10.0, 10.0], "m": 1, "f_max": 1.0},
                 )
-                assert a["accepted"] is True and b["accepted"] is False
-                assert a["f_max"] == 1.0
+                assert a["result"]["accepted"] is True and b["result"]["accepted"] is False
+                assert a["result"]["f_max"] == 1.0
                 # the wider default platform is untouched
                 _, c = await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 10.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 10.0]}
                 )
-                assert c["accepted"] is True
-                assert c["committed"] == 1
+                assert c["result"]["accepted"] is True
+                assert c["result"]["committed"] == 1
             finally:
                 await client.close()
 
@@ -60,20 +60,20 @@ class TestPerPlatformSessions:
             await client.connect()
             try:
                 await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 4.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 4.0]}
                 )
                 await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 4.0], "m": 8}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 4.0], "m": 8}
                 )
                 _, r = await client.request(
-                    "POST", "/admit", {"reset": True, "m": 8}
+                    "POST", "/v1/admit", {"reset": True, "m": 8}
                 )
-                assert r["committed"] == 0
+                assert r["result"]["committed"] == 0
                 # the default platform still holds its task
                 _, d = await client.request(
-                    "POST", "/admit", {"task": [1.0, 11.0, 2.0]}
+                    "POST", "/v1/admit", {"task": [1.0, 11.0, 2.0]}
                 )
-                assert d["committed"] == 2
+                assert d["result"]["committed"] == 2
             finally:
                 await client.close()
 
@@ -85,17 +85,17 @@ class TestPerPlatformSessions:
             await client.connect()
             try:
                 _, first = await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 4.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 4.0]}
                 )
                 _, second = await client.request(
-                    "POST", "/admit", {"task": [20.0, 30.0, 4.0]}
+                    "POST", "/v1/admit", {"task": [20.0, 30.0, 4.0]}
                 )
-                assert first["accepted"] and second["accepted"]
-                assert first["touched_subintervals"] == first["total_subintervals"] == 1
+                assert first["result"]["accepted"] and second["result"]["accepted"]
+                assert first["result"]["touched_subintervals"] == first["result"]["total_subintervals"] == 1
                 # disjoint window: only the new column is touched (the
                 # total counts the empty gap column between the windows)
-                assert second["touched_subintervals"] == 1
-                assert second["total_subintervals"] == 3
+                assert second["result"]["touched_subintervals"] == 1
+                assert second["result"]["total_subintervals"] == 3
             finally:
                 await client.close()
 
@@ -104,7 +104,7 @@ class TestPerPlatformSessions:
     def test_admit_emits_session_delta_spans(self):
         async def scenario(service):
             await request_once(
-                "127.0.0.1", service.port, "POST", "/admit",
+                "127.0.0.1", service.port, "POST", "/v1/admit",
                 {"task": [0.0, 10.0, 4.0]},
             )
             snap = service.metrics.snapshot()
@@ -128,6 +128,6 @@ class TestAdmitStreamLoadgen:
             assert admit["accepted"] + admit["rejected"] == 20
             assert admit["accepted"] > 0
             snap = service.metrics.snapshot()["counters"]
-            assert snap["requests_total:/admit"] >= 20
+            assert snap["requests_total:/v1/admit"] >= 20
 
         _run(scenario)

@@ -23,7 +23,7 @@ from repro.service.faults import (
     SimulatedWorkerCrash,
 )
 from repro.service.loadgen import request_once
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.pool import SolveDispatcher
 
 _ROWS = [(0.0, 10.0, 6.0), (2.0, 14.0, 5.0), (4.0, 16.0, 7.0)]
@@ -281,7 +281,7 @@ class TestServiceFaultPaths:
         async def scenario(service):
             for payload in MALFORMED_MENU:
                 status, body = await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule", payload
+                    "127.0.0.1", service.port, "POST", "/v1/schedule", payload
                 )
                 assert status == 400, (status, payload)
                 assert "error" in body
@@ -295,7 +295,7 @@ class TestServiceFaultPaths:
                     "127.0.0.1",
                     service.port,
                     "POST",
-                    "/schedule",
+                    "/v1/schedule",
                     {"tasks": [[0.0, 10.0, 5.0]]},
                 )
             # the one-shot client retried once transparently, so the
@@ -314,11 +314,11 @@ class TestServiceFaultPaths:
                 "127.0.0.1",
                 service.port,
                 "POST",
-                "/schedule",
+                "/v1/schedule",
                 {"tasks": [[0.0, 10.0, 5.0]], "include_schedule": False},
             )
             assert status == 200
-            assert body["energy"] > 0
+            assert body["result"]["energy"] > 0
             assert time.perf_counter() - t0 >= 0.03
             assert service.injector.counts["delay"] == 1
 
@@ -330,14 +330,14 @@ class TestServiceFaultPaths:
                 "127.0.0.1",
                 service.port,
                 "POST",
-                "/schedule",
+                "/v1/schedule",
                 {"tasks": [[0.0, 10.0, 5.0]], "include_schedule": False},
             )
             status, body = await request_once(
-                "127.0.0.1", service.port, "GET", "/metrics"
+                "127.0.0.1", service.port, "GET", "/v1/metrics"
             )
             assert status == 200
-            faults = body["faults"]
+            faults = body["result"]["faults"]
             assert faults["spec"] == "delay=1:0.001,seed=4"
             assert set(faults) >= {"kill", "delay", "drop", "malform"}
 
@@ -346,10 +346,10 @@ class TestServiceFaultPaths:
     def test_unfaulted_service_reports_no_faults_section(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "GET", "/metrics"
+                "127.0.0.1", service.port, "GET", "/v1/metrics"
             )
             assert status == 200
-            assert body["faults"] is None
+            assert body["result"]["faults"] is None
             assert service.injector is None
 
         _run(scenario)
@@ -374,23 +374,23 @@ class TestServiceDegradation:
                 "127.0.0.1",
                 service.port,
                 "POST",
-                "/optimal",
+                "/v1/optimal",
                 {"tasks": [[0.0, 10.0, 5.0], [2.0, 12.0, 4.0]], "m": 2,
                  "solver": hanging_solver},
             )
             assert time.perf_counter() - t0 < 10.0
             assert status == 200
-            assert body["degraded"] is True
-            assert body["degraded_from"] == hanging_solver
-            assert body["solver"] == "subinterval-der"
-            assert "timeout" in body["degraded_reason"]
-            assert body["energy"] > 0
+            assert body["result"]["degraded"] is True
+            assert body["result"]["degraded_from"] == hanging_solver
+            assert body["result"]["solver"] == "subinterval-der"
+            assert "timeout" in body["result"]["degraded_reason"]
+            assert body["result"]["energy"] > 0
 
             status, metrics = await request_once(
-                "127.0.0.1", service.port, "GET", "/metrics"
+                "127.0.0.1", service.port, "GET", "/v1/metrics"
             )
             assert status == 200
-            assert metrics["metrics"]["counters"]["degraded_total"] >= 1
+            assert metrics["result"]["metrics"]["counters"]["degraded_total"] >= 1
 
         _run(
             scenario,
@@ -405,11 +405,11 @@ class TestServiceDegradation:
             }
             for _ in range(2):
                 status, body = await request_once(
-                    "127.0.0.1", service.port, "POST", "/optimal", payload
+                    "127.0.0.1", service.port, "POST", "/v1/optimal", payload
                 )
                 assert status == 200
-                assert body["degraded"] is True
-                assert body.get("cache_hit") is not True
+                assert body["result"]["degraded"] is True
+                assert body["result"].get("cache_hit") is not True
             assert service.cache.hits == 0
 
         _run(

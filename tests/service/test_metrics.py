@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 
 
 class TestPercentile:
@@ -142,7 +142,9 @@ class TestRegistry:
         reg.counter("shed_total").inc(2)
         reg.counter("cache_hits").inc(3)
         reg.counter("cache_misses").inc(1)
+        reg.histogram("latency_ms:/v1/schedule").observe(4.0)
         line = reg.summary_line()
         assert "requests=7" in line
         assert "shed=2" in line
         assert "cache_hit_rate=0.750" in line
+        assert "schedule_p95_ms=4.0" in line

@@ -53,7 +53,7 @@ class TestScheduleEndpoint:
                 # distinct work per client so responses genuinely differ
                 tasks = [[0.0, 10.0, 4.0 + seed], [1.0, 12.0, 3.0 + seed]]
                 status, body = await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=tasks),
                 )
                 return status, body
@@ -61,9 +61,9 @@ class TestScheduleEndpoint:
             results = await asyncio.gather(*(one_client(s) for s in range(8)))
             for status, body in results:
                 assert status == 200
-                assert body["energy"] > 0
-                assert body["kind"] == "S^F2"
-                schedule = schedule_from_json(json.dumps(body["schedule"]))
+                assert body["result"]["energy"] > 0
+                assert body["result"]["kind"] == "S^F2"
+                schedule = schedule_from_json(json.dumps(body["result"]["schedule"]))
                 assert validate_schedule(schedule) == []
 
         _run(scenario, _config(batch_window=0.01, batch_max=8))
@@ -73,21 +73,21 @@ class TestScheduleEndpoint:
 
         async def scenario(service):
             cold_status, cold = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+                "127.0.0.1", service.port, "POST", "/v1/schedule", _schedule_payload()
             )
-            assert cold_status == 200 and cold["cache_hit"] is False
+            assert cold_status == 200 and cold["result"]["cache_hit"] is False
             dispatches_after_cold = service.dispatcher.dispatch_count
             assert dispatches_after_cold > 0
 
             permuted = [_TASKS[2], _TASKS[0], _TASKS[1]]
             for tasks in (_TASKS, permuted):
                 status, warm = await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=tasks),
                 )
                 assert status == 200
-                assert warm["cache_hit"] is True
-                assert warm["energy"] == cold["energy"]
+                assert warm["result"]["cache_hit"] is True
+                assert warm["result"]["energy"] == cold["result"]["energy"]
             # the pool-call count is unchanged by warm traffic
             assert service.dispatcher.dispatch_count == dispatches_after_cold
             assert service.cache.hits == 2
@@ -97,28 +97,28 @@ class TestScheduleEndpoint:
     def test_online_method_reports_replans(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 _schedule_payload(method="online"),
             )
             assert status == 200
-            assert body["kind"] == "online"
-            assert body["replans"] >= 0
+            assert body["result"]["kind"] == "online"
+            assert body["result"]["replans"] >= 0
 
         _run(scenario)
 
     def test_include_schedule_false_is_lighter(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 _schedule_payload(include_schedule=False),
             )
             assert status == 200
-            assert "schedule" not in body
+            assert "schedule" not in body["result"]
             # a later full request must NOT be served from the light entry
             status, full = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+                "127.0.0.1", service.port, "POST", "/v1/schedule", _schedule_payload()
             )
-            assert status == 200 and "schedule" in full
+            assert status == 200 and "schedule" in full["result"]
 
         _run(scenario)
 
@@ -131,7 +131,7 @@ class TestScheduleEndpoint:
                 {"tasks": [[5.0, 1.0, 2.0]]},  # deadline < release
             ):
                 status, body = await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule", payload
+                    "127.0.0.1", service.port, "POST", "/v1/schedule", payload
                 )
                 assert status == 400
                 assert "error" in body
@@ -144,7 +144,7 @@ class TestScheduleEndpoint:
         async def scenario(service):
             results = await asyncio.gather(*(
                 request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=[[0.0, 10.0, 2.0 + i]]),
                 )
                 for i in range(4)
@@ -170,7 +170,7 @@ class TestRobustness:
 
             async def fire(i):
                 return await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=[[0.0, 10.0, 1.0 + i]]),
                 )
 
@@ -182,9 +182,9 @@ class TestRobustness:
             assert statuses.count(429) == 4
             assert statuses.count(200) == 2
             status, metrics = await request_once(
-                "127.0.0.1", service.port, "GET", "/metrics"
+                "127.0.0.1", service.port, "GET", "/v1/metrics"
             )
-            assert metrics["metrics"]["counters"]["shed_total"] == 4
+            assert metrics["result"]["metrics"]["counters"]["shed_total"] == 4
 
         _run(scenario, _config(max_inflight=2, batch_window=0.001, batch_max=1))
 
@@ -195,10 +195,10 @@ class TestRobustness:
 
             service.batcher._dispatch = stuck_dispatch
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+                "127.0.0.1", service.port, "POST", "/v1/schedule", _schedule_payload()
             )
             assert status == 504
-            assert "deadline" in body["error"]
+            assert body["error"]["code"] == "deadline_exceeded"
 
         _run(scenario, _config(request_timeout=0.2, batch_window=0.001, batch_max=1))
 
@@ -216,7 +216,7 @@ class TestRobustness:
 
             async def fire(i):
                 return await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=[[0.0, 10.0, 1.0 + i]]),
                 )
 
@@ -227,7 +227,7 @@ class TestRobustness:
             results = await asyncio.gather(*clients)
             assert [status for status, _ in results] == [200] * 6
             for _, body in results:
-                assert body["energy"] > 0
+                assert body["result"]["energy"] > 0
 
         _run(scenario, _config(batch_window=0.03, batch_max=3), stop=False)
 
@@ -237,7 +237,7 @@ class TestRobustness:
             # the listener is closed: new connections must fail
             with pytest.raises((ConnectionError, OSError)):
                 await request_once(
-                    "127.0.0.1", service.port, "GET", "/healthz"
+                    "127.0.0.1", service.port, "GET", "/v1/healthz"
                 )
 
         # service.port raises after stop(); capture it before
@@ -247,7 +247,7 @@ class TestRobustness:
             port = service.port
             await service.stop()
             with pytest.raises((ConnectionError, OSError)):
-                await request_once("127.0.0.1", port, "GET", "/healthz")
+                await request_once("127.0.0.1", port, "GET", "/v1/healthz")
 
         asyncio.run(runner())
 
@@ -260,7 +260,7 @@ class TestRoutingAndMetrics:
             )
             assert status == 404
             status, _ = await request_once(
-                "127.0.0.1", service.port, "GET", "/schedule"
+                "127.0.0.1", service.port, "GET", "/v1/schedule"
             )
             assert status == 405
 
@@ -273,7 +273,7 @@ class TestRoutingAndMetrics:
             )
             body = b"{not json"
             writer.write(
-                b"POST /schedule HTTP/1.1\r\nContent-Length: "
+                b"POST /v1/schedule HTTP/1.1\r\nContent-Length: "
                 + str(len(body)).encode() + b"\r\nConnection: close\r\n\r\n" + body
             )
             await writer.drain()
@@ -289,37 +289,37 @@ class TestRoutingAndMetrics:
         async def scenario(service):
             for _ in range(3):  # 1 miss + 2 hits
                 await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(),
                 )
             status, m = await request_once(
-                "127.0.0.1", service.port, "GET", "/metrics"
+                "127.0.0.1", service.port, "GET", "/v1/metrics"
             )
             assert status == 200
-            counters = m["metrics"]["counters"]
-            assert counters["requests_total:/schedule"] == 3
-            assert counters["responses:/schedule:200"] == 3
+            counters = m["result"]["metrics"]["counters"]
+            assert counters["requests_total:/v1/schedule"] == 3
+            assert counters["responses:/v1/schedule:200"] == 3
             assert counters.get("shed_total", 0) == 0
             assert counters["cache_hits"] == 2
             assert counters["cache_misses"] == 1
-            assert m["cache"]["hit_rate"] == pytest.approx(2 / 3)
-            lat = m["metrics"]["histograms"]["latency_ms:/schedule"]
+            assert m["result"]["cache"]["hit_rate"] == pytest.approx(2 / 3)
+            lat = m["result"]["metrics"]["histograms"]["latency_ms:/v1/schedule"]
             assert lat["count"] == 3
             for q in ("p50", "p95", "p99"):
                 assert lat[q] is not None and lat[q] >= 0
-            assert m["batcher"]["jobs"] == 1  # hits never reached the batcher
-            assert m["uptime_s"] >= 0
+            assert m["result"]["batcher"]["jobs"] == 1  # hits never reached the batcher
+            assert m["result"]["uptime_s"] >= 0
 
         _run(scenario)
 
     def test_healthz(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "GET", "/healthz"
+                "127.0.0.1", service.port, "GET", "/v1/healthz"
             )
             assert status == 200
-            assert body["status"] == "ok"
-            assert "version" in body
+            assert body["result"]["status"] == "ok"
+            assert "version" in body["result"]
 
         _run(scenario)
 
@@ -335,18 +335,18 @@ class TestAdmitAndOptimal:
                 accepted = []
                 for _ in range(3):
                     status, body = await client.request(
-                        "POST", "/admit", {"task": [0.0, 10.0, 10.0]}
+                        "POST", "/v1/admit", {"task": [0.0, 10.0, 10.0]}
                     )
                     assert status == 200
-                    accepted.append(body["accepted"])
+                    accepted.append(body["result"]["accepted"])
                 assert accepted == [True, True, False]
-                status, body = await client.request("POST", "/admit", {"reset": True})
-                assert status == 200 and body["committed"] == 0
+                status, body = await client.request("POST", "/v1/admit", {"reset": True})
+                assert status == 200 and body["result"]["committed"] == 0
                 status, body = await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 10.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 10.0]}
                 )
-                assert body["accepted"] is True
-                assert body["marginal_energy"] > 0
+                assert body["result"]["accepted"] is True
+                assert body["result"]["marginal_energy"] > 0
             finally:
                 await client.close()
 
@@ -355,16 +355,16 @@ class TestAdmitAndOptimal:
     def test_optimal_not_above_heuristic(self):
         async def scenario(service):
             _, sched = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+                "127.0.0.1", service.port, "POST", "/v1/schedule", _schedule_payload()
             )
             status, opt = await request_once(
-                "127.0.0.1", service.port, "POST", "/optimal",
+                "127.0.0.1", service.port, "POST", "/v1/optimal",
                 {"tasks": _TASKS, "m": 2, "alpha": 3.0, "static": 0.1},
             )
             assert status == 200
-            assert opt["solver"] == "interior-point"
-            assert opt["energy"] <= sched["energy"] * (1 + 1e-6)
-            assert len(opt["frequencies"]) == len(_TASKS)
+            assert opt["result"]["solver"] == "interior-point"
+            assert opt["result"]["energy"] <= sched["result"]["energy"] * (1 + 1e-6)
+            assert len(opt["result"]["frequencies"]) == len(_TASKS)
 
         _run(scenario)
 
@@ -394,8 +394,8 @@ class TestLoadgen:
             )
             assert stats["ok"] == 12
             snap = service.metrics.snapshot()["counters"]
-            assert snap["requests_total:/optimal"] == 3
-            assert snap["requests_total:/admit"] == 3
-            assert snap["requests_total:/schedule"] == 6
+            assert snap["requests_total:/v1/optimal"] == 3
+            assert snap["requests_total:/v1/admit"] == 3
+            assert snap["requests_total:/v1/schedule"] == 6
 
         _run(scenario)

@@ -138,7 +138,7 @@ class TestRouterEndToEnd:
                 try:
                     for i, platform in enumerate(platforms):
                         await client.request(
-                            "POST", "/admit", {"reset": True, **platform}
+                            "POST", "/v1/admit", {"reset": True, **platform}
                         )
                     # first half of each stream, interleaved
                     for step in range(4):
@@ -199,7 +199,7 @@ class TestRouterEndToEnd:
                 try:
                     for platform in platforms:
                         await client.request(
-                            "POST", "/admit", {"reset": True, **platform}
+                            "POST", "/v1/admit", {"reset": True, **platform}
                         )
                     for step in range(8):
                         for i, platform in enumerate(platforms):

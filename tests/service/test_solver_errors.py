@@ -80,13 +80,14 @@ class TestHttp400:
     def test_unknown_method_is_a_400_with_the_menu(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 {"tasks": _TASKS, "method": "warp-drive"},
             )
             assert status == 400
-            assert "warp-drive" in body["error"]
+            assert body["error"]["code"] == "unknown_solver"
+            assert "warp-drive" in body["error"]["message"]
             for name in solver_names():
-                assert name in body["error"]
+                assert name in body["error"]["message"]
             # nothing reached the solver pool
             assert service.dispatcher.dispatch_count == 0
 
@@ -95,11 +96,12 @@ class TestHttp400:
     def test_unknown_optimal_solver_is_a_400(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/optimal",
+                "127.0.0.1", service.port, "POST", "/v1/optimal",
                 {"tasks": _TASKS, "solver": "simplex"},
             )
             assert status == 400
-            assert "optimal:interior-point" in body["error"]
+            assert body["error"]["code"] == "unknown_solver"
+            assert "optimal:interior-point" in body["error"]["message"]
             assert service.dispatcher.dispatch_count == 0
 
         _run(scenario)
@@ -117,13 +119,13 @@ class TestRegistryServable:
                 ("optimal:interior-point", "optimal"),
             ):
                 status, body = await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     {"tasks": _TASKS, "m": 2, "method": method},
                 )
                 assert status == 200, body
-                assert body["kind"] == kind
-                assert body["method"] == method
-                assert body["energy"] > 0
-                assert "schedule" in body
+                assert body["result"]["kind"] == kind
+                assert body["result"]["method"] == method
+                assert body["result"]["energy"] > 0
+                assert "schedule" in body["result"]
 
         _run(scenario)

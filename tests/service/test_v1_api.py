@@ -1,16 +1,10 @@
-"""Version-negotiation suite: the ``/v1`` wire API vs the legacy shims.
+"""The ``/v1`` wire API.
 
 The contract under test (``docs/api.md``):
 
-* every ``/v1`` response is enveloped ``{"result"|"error", "meta"}`` and
+* every response is enveloped ``{"result"|"error", "meta"}`` and
   ``meta`` always carries ``api_version`` and ``trace_id``,
-* the ``result`` payload is byte-identical to what the same request gets
-  at the bare legacy path (the shims flatten, they never re-solve),
-* legacy responses carry ``Deprecation: true`` plus a successor-version
-  ``Link``; ``/v1`` responses carry neither,
-* errors are ``{"error": {"code", "message", "detail"?}}`` under ``/v1``
-  and flattened back to the historical string ``error`` field (with
-  detail keys hoisted top-level) under the legacy paths,
+* errors are ``{"error": {"code", "message", "detail"?}}``,
 * ``GET /v1/solvers`` is the discovery endpoint the unknown-solver 400
   points at.
 """
@@ -20,13 +14,11 @@ import json
 
 import pytest
 
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import SchedulingService, ServiceConfig, ShardRouter
 from repro.service.loadgen import HttpClient, request_once
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
-# cache_size=0 so the v1/legacy replays of one request cannot diverge on
-# the cache_hit flag — equality below is over the full payload
-_BASE = dict(port=0, workers=0, log_interval=0, cache_size=0)
+_BASE = dict(port=0, workers=0, log_interval=0)
 
 
 def _config(**kwargs) -> ServiceConfig:
@@ -50,60 +42,40 @@ def _schedule_payload(**over):
             "method": "der", **over}
 
 
-async def _both(service, method, path, payload=None):
-    """Hit the legacy path and its /v1 twin; return both full responses."""
-    client = HttpClient("127.0.0.1", service.port)
-    await client.connect()
-    try:
-        legacy = await client.request_full(method, path, payload)
-        v1 = await client.request_full(method, "/v1" + path, payload)
-    finally:
-        await client.close()
-    return legacy, v1
-
-
 class TestEnvelope:
-    def test_v1_result_is_byte_identical_to_legacy(self):
-        async def scenario(service):
-            (ls, _, lbody), (vs, _, vbody) = await _both(
-                service, "POST", "/schedule", _schedule_payload()
-            )
-            assert ls == vs == 200
-            assert vbody["result"] == lbody
-            # canonical JSON of both payloads matches byte-for-byte
-            assert (json.dumps(vbody["result"], sort_keys=True)
-                    == json.dumps(lbody, sort_keys=True))
-
-        _run(scenario)
-
     def test_v1_optimal_wraps_the_legacy_payload_shape(self):
-        # /optimal carries warm-start state across solves (iterate-level
-        # floats drift run to run), so the contract here is structural:
-        # same fields, same solver, energies within solver tolerance
+        # /v1/optimal carries warm-start state across solves (iterate-level
+        # floats drift run to run), so the contract for a repeated solve is
+        # structural: same fields, same solver, energies within tolerance
         async def scenario(service):
             payload = {"tasks": _TASKS, "m": 2, "alpha": 3.0, "static": 0.1}
-            (ls, _, lbody), (vs, _, vbody) = await _both(
-                service, "POST", "/optimal", payload
-            )
-            assert ls == vs == 200
-            result = vbody["result"]
-            assert set(result) == set(lbody)
-            assert result["solver"] == lbody["solver"] == "interior-point"
-            assert result["energy"] == pytest.approx(lbody["energy"], rel=1e-8)
+            client = HttpClient("127.0.0.1", service.port)
+            try:
+                s1, first = await client.request("POST", "/v1/optimal", payload)
+                s2, second = await client.request("POST", "/v1/optimal", payload)
+            finally:
+                await client.close()
+            assert s1 == s2 == 200
+            a, b = first["result"], second["result"]
+            assert set(a) == set(b)
+            assert a["solver"] == b["solver"] == "interior-point"
+            assert a["energy"] == pytest.approx(b["energy"], rel=1e-8)
 
         _run(scenario)
 
     def test_v1_admit_matches_legacy_after_reset(self):
+        """A reset makes the next admit answer exactly as the first one did."""
+
         async def scenario(service):
             client = HttpClient("127.0.0.1", service.port)
             await client.connect()
             try:
                 task = {"task": [0.0, 10.0, 6.0]}
-                await client.request("POST", "/admit", {"reset": True})
-                _, legacy = await client.request("POST", "/admit", task)
-                await client.request("POST", "/admit", {"reset": True})
-                _, v1 = await client.request("POST", "/v1/admit", task)
-                assert v1["result"] == legacy
+                await client.request("POST", "/v1/admit", {"reset": True})
+                _, first = await client.request("POST", "/v1/admit", task)
+                await client.request("POST", "/v1/admit", {"reset": True})
+                _, again = await client.request("POST", "/v1/admit", task)
+                assert again["result"] == first["result"]
             finally:
                 await client.close()
 
@@ -137,41 +109,6 @@ class TestEnvelope:
         _run(scenario)
 
 
-class TestDeprecationHeaders:
-    def test_legacy_paths_announce_deprecation(self):
-        async def scenario(service):
-            for method, path, payload in (
-                ("POST", "/schedule", _schedule_payload()),
-                ("GET", "/metrics", None),
-                ("GET", "/healthz", None),
-            ):
-                (_, lheaders, _), (_, vheaders, _) = await _both(
-                    service, method, path, payload
-                )
-                assert lheaders.get("deprecation") == "true"
-                assert f"</v1{path}>" in lheaders.get("link", "")
-                assert 'rel="successor-version"' in lheaders["link"]
-                assert "deprecation" not in vheaders
-
-        _run(scenario)
-
-    def test_legacy_traffic_is_counted(self):
-        async def scenario(service):
-            await request_once(
-                "127.0.0.1", service.port, "GET", "/healthz"
-            )
-            await request_once(
-                "127.0.0.1", service.port, "GET", "/v1/healthz"
-            )
-            _, m = await request_once(
-                "127.0.0.1", service.port, "GET", "/v1/metrics"
-            )
-            counters = m["result"]["metrics"]["counters"]
-            assert counters["legacy_requests_total"] == 1
-
-        _run(scenario)
-
-
 class TestUnifiedErrors:
     def test_v1_error_schema(self):
         async def scenario(service):
@@ -191,17 +128,6 @@ class TestUnifiedErrors:
                 assert err["code"] == want_code
                 assert isinstance(err["message"], str) and err["message"]
                 assert body["meta"]["api_version"] == "v1"
-
-        _run(scenario)
-
-    def test_legacy_errors_stay_flat_strings(self):
-        async def scenario(service):
-            status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule", {"m": 2}
-            )
-            assert status == 400
-            assert isinstance(body["error"], str)
-            assert "meta" not in body
 
         _run(scenario)
 
@@ -253,31 +179,98 @@ class TestUnifiedErrors:
 
             service.batcher._dispatch = slow_dispatch
 
-            async def fire(i, v1):
-                prefix = "/v1" if v1 else ""
+            async def fire(i):
                 return await request_once(
-                    "127.0.0.1", service.port, "POST", f"{prefix}/schedule",
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
                     _schedule_payload(tasks=[[0.0, 10.0, 1.0 + i]]),
                 )
 
-            clients = [asyncio.ensure_future(fire(i, i % 2 == 0))
-                       for i in range(4)]
+            clients = [asyncio.ensure_future(fire(i)) for i in range(4)]
             await asyncio.sleep(0.15)
             release.set()
             results = await asyncio.gather(*clients)
-            shed = [(i, body) for i, (status, body) in enumerate(results)
-                    if status == 429]
+            shed = [body for status, body in results if status == 429]
             assert len(shed) == 3
-            for i, body in shed:
-                if i % 2 == 0:  # the /v1 half
-                    assert body["error"]["code"] == "overloaded"
-                    assert body["error"]["detail"]["max_inflight"] == 1
-                else:  # legacy flatten: string error + hoisted detail keys
-                    assert isinstance(body["error"], str)
-                    assert body["max_inflight"] == 1
+            for body in shed:
+                assert body["error"]["code"] == "overloaded"
+                assert body["error"]["detail"]["max_inflight"] == 1
 
         _run(scenario, _config(max_inflight=1, batch_window=0.001,
                                batch_max=1))
+
+
+async def _raw_exchange(port: int, data: bytes):
+    """Send raw request bytes; return (status, lowercased headers, JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            k.strip().lower(): v.strip()
+            for k, _, v in (line.partition(":") for line in lines[1:] if line)
+        }
+        body = await reader.readexactly(int(headers["content-length"]))
+        return int(lines[0].split()[1]), headers, json.loads(body)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+class TestFrontEndErrors:
+    """Answers both front ends originate themselves, in the v1 envelope."""
+
+    @staticmethod
+    def _run_front(front, scenario):
+        async def runner():
+            server = (
+                SchedulingService(_config()) if front == "service"
+                else ShardRouter(_config(), shards=1)
+            )
+            await server.start()
+            try:
+                await scenario(server.port)
+            finally:
+                await server.stop()
+
+        asyncio.run(runner())
+
+    def test_malformed_heads_and_unrouted_paths(self, front):
+        over = b"%d" % (16 * 1024 * 1024 + 1)
+        cases = [
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+            (b"POST /v1/schedule HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+             400, "bad_request"),
+            (b"POST /v1/schedule HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+             400, "bad_request"),
+            (b"POST /v1/schedule HTTP/1.1\r\nContent-Length: " + over
+             + b"\r\n\r\n", 413, "payload_too_large"),
+            (b"GET /v1/schedule HTTP/1.1\r\nConnection: close\r\n\r\n",
+             405, "method_not_allowed"),
+        ] + [
+            (b"%s %s HTTP/1.1\r\nConnection: close\r\n\r\n" % (m, p),
+             404, "not_found")
+            for m, p in ((b"POST", b"/schedule"), (b"POST", b"/admit"),
+                         (b"POST", b"/optimal"), (b"GET", b"/metrics"),
+                         (b"GET", b"/healthz"))
+        ]
+
+        async def scenario(port):
+            for data, want_status, want_code in cases:
+                status, headers, body = await _raw_exchange(port, data)
+                assert (status, body["error"]["code"]) == (
+                    want_status, want_code
+                ), data
+                assert body["meta"]["api_version"] == "v1"
+                assert "deprecation" not in headers
+            # the front end survived every bad request
+            status, _ = await request_once(
+                "127.0.0.1", port, "GET", "/v1/healthz"
+            )
+            assert status == 200
+
+        self._run_front(front, scenario)
 
 
 class TestSolverDiscovery:
@@ -322,34 +315,35 @@ class TestSolverDiscovery:
 
 
 class TestLegacyCompatibility:
-    """The pre-v1 surface is pinned: same fields, same types."""
+    """The result documents keep the fields pre-v1 clients relied on."""
 
     def test_schedule_response_fields_unchanged(self):
         async def scenario(service):
             status, body = await request_once(
-                "127.0.0.1", service.port, "POST", "/schedule",
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
                 _schedule_payload(),
             )
             assert status == 200
-            assert body["kind"] == "S^F2"
-            assert body["energy"] > 0
-            assert "schedule" in body
-            assert "result" not in body and "meta" not in body
+            result = body["result"]
+            assert result["kind"] == "S^F2"
+            assert result["energy"] > 0
+            assert "schedule" in result
+            assert "result" not in result and "meta" not in result
 
         _run(scenario)
 
     def test_shared_state_across_dialects(self):
-        """/admit and /v1/admit are one session, not two."""
+        """Admits on one connection commit into one session, not two."""
 
         async def scenario(service):
             client = HttpClient("127.0.0.1", service.port)
             await client.connect()
             try:
-                await client.request("POST", "/admit", {"reset": True})
+                await client.request("POST", "/v1/admit", {"reset": True})
                 _, first = await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 4.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 4.0]}
                 )
-                assert first["committed"] == 1
+                assert first["result"]["committed"] == 1
                 _, second = await client.request(
                     "POST", "/v1/admit", {"task": [1.0, 12.0, 4.0]}
                 )
@@ -366,14 +360,14 @@ class TestAdmitPeek:
             client = HttpClient("127.0.0.1", service.port)
             await client.connect()
             try:
-                await client.request("POST", "/admit", {"reset": True})
+                await client.request("POST", "/v1/admit", {"reset": True})
                 _, empty = await client.request(
                     "POST", "/v1/admit", {"peek": True}
                 )
                 assert empty["result"]["committed"] == 0
                 assert empty["result"]["peek"] is True
                 await client.request(
-                    "POST", "/admit", {"task": [0.0, 10.0, 4.0]}
+                    "POST", "/v1/admit", {"task": [0.0, 10.0, 4.0]}
                 )
                 _, a = await client.request(
                     "POST", "/v1/admit", {"peek": True}
