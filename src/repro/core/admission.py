@@ -14,6 +14,13 @@ exists **iff** those minimal demands are realizable
 exact, not a heuristic — and on acceptance the controller quotes the
 marginal energy of the updated S^F2 plan.
 
+The test is warm-started.  The controller keeps the max flow of its last
+accepted set; an arrival only adds one source edge and refines some
+columns, so that flow, split onto the refined grid, is a valid start and
+Dinic only has to route the newcomer (plus whatever it displaces).  The
+answer is still the exact max-flow value.  A reject discards the candidate
+flow, so the committed flow always belongs to the committed set.
+
 The controller is a thin driver over an incremental
 :class:`~repro.core.incremental.ScheduleSession`: each accepted task is a
 single ``add_task`` delta (recomputing only the subintervals its window
@@ -30,11 +37,13 @@ direction of §VI-D), built entirely from the paper's substrate.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..optimal.flow import realize_demands
+from ..obs import context as obs
+from ..optimal.flow import DemandRealization, realize_demands
 from ..power.models import PolynomialPower
 from .incremental import ScheduleSession
 from .scheduler import SchedulingResult
@@ -98,6 +107,8 @@ class AdmissionController:
         self.f_max = f_max
         self._committed: list[Task] = []
         self._session = ScheduleSession(self.m, power, method="der")
+        # max flow of the committed set at f_max: the next test's start
+        self._flow: DemandRealization | None = None
 
     # -- inspection ------------------------------------------------------------------
 
@@ -117,13 +128,36 @@ class AdmissionController:
         return self._session
 
     def is_schedulable(self, tasks: TaskSet) -> bool:
-        """Exact schedulability test under the frequency cap."""
+        """Exact schedulability test under the frequency cap.
+
+        A cold test from zero flow: independent of the committed set.
+        """
         if self.f_max is None:
             return True
         min_times = tasks.works / self.f_max
         if np.any(min_times > tasks.windows * (1 + 1e-12)):
             return False  # some task can't finish even running alone flat-out
         return realize_demands(tasks, self.m, min_times).feasible
+
+    def _candidate_flow(self, candidate: TaskSet) -> DemandRealization:
+        """Max flow of the committed set plus one arrival, warm-started
+        from the committed flow (every task already fits alone)."""
+        span = (
+            obs.span(
+                "admission.feasibility",
+                committed=len(self._committed),
+                warm=self._flow is not None,
+            )
+            if obs.active()
+            else nullcontext()
+        )
+        with span as sp:
+            real = realize_demands(
+                candidate, self.m, candidate.works / self.f_max, warm_start=self._flow
+            )
+            if sp is not None:
+                sp.set("phases", real.phases)
+        return real
 
     # -- admission --------------------------------------------------------------------
 
@@ -135,6 +169,7 @@ class AdmissionController:
         ``schedule`` stays ``None``), leaving the accept path a pure delta
         update plus an energy quote.
         """
+        flow = None
         if self.f_max is not None:
             if task.work / self.f_max > task.window * (1 + 1e-12):
                 return AdmissionDecision(
@@ -144,8 +179,8 @@ class AdmissionController:
                         f"f_max={self.f_max:g} even in isolation"
                     ),
                 )
-            candidate = TaskSet([*self._committed, task])
-            if not self.is_schedulable(candidate):
+            flow = self._candidate_flow(TaskSet([*self._committed, task]))
+            if not flow.feasible:
                 return AdmissionDecision(
                     accepted=False,
                     reason="no collision-free schedule at f_max fits all "
@@ -159,9 +194,11 @@ class AdmissionController:
             plan = self._session.result() if materialize else None
         except Exception:
             # materialization must never leave a half-committed plan behind
+            # (the candidate flow was never stored, so it needs no undo)
             self._session.remove_task(handle)
             raise
         self._committed.append(task)
+        self._flow = flow
         return AdmissionDecision(
             accepted=True,
             reason="schedulable",
@@ -179,3 +216,4 @@ class AdmissionController:
         """Drop all committed tasks."""
         self._committed.clear()
         self._session = ScheduleSession(self.m, self.power, method="der")
+        self._flow = None

@@ -10,7 +10,14 @@ coverage, the allocation matrix, and the final energy must all be exactly
 equal, not merely close.  The accumulated delta wall time must also beat
 the accumulated rebuild wall time by the soft speedup gate (3x; the
 typical margin is far larger — the gate only catches gross regressions).
-Exit code 0 means every comparison held and the gate passed.
+
+A second leg drives a capped
+:class:`~repro.core.admission.AdmissionController` through a seeded stream
+of 400 arrivals at ``f_max`` that rejects most of them.  Every warm-started
+decision must equal a cold :func:`~repro.optimal.flow.realize_demands` from
+zero flow, and the warm feasibility time (the controller's
+``admission.feasibility`` spans) must beat the cold time by the same 3x gate.
+Exit code 0 means every comparison held and both gates passed.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ import time
 
 import numpy as np
 
+from ..obs import context as obs
+from ..optimal.flow import realize_demands
 from ..power import PolynomialPower
+from .admission import AdmissionController
 from .incremental import SESSION_METHODS, ScheduleSession
 from .scheduler import SubintervalScheduler
-from .task import Task
+from .task import Task, TaskSet
 
 _EVENTS = 500
 # the delta advantage scales with the live-pool size; below ~50 tasks the
@@ -31,6 +41,11 @@ _EVENTS = 500
 # enough that the speedup gate measures the splice, not the fixed costs
 _MAX_LIVE = 80
 _SPEEDUP_GATE = 3.0
+# the warm advantage scales with the committed set; 8 cores keep ~80 of the
+# 400 arrivals, enough that the gate measures the flow, not fixed costs
+_ADMIT_ARRIVALS = 400
+_ADMIT_CORES = 8
+_F_MAX = 1.0
 
 
 def _stream(seed: int):
@@ -114,11 +129,50 @@ def _run_method(method: str, seed: int) -> tuple[bool, str]:
     return True, line
 
 
+def _run_admission(seed: int) -> tuple[bool, str]:
+    """Capped admission: warm decisions against the cold max-flow oracle."""
+    rng = np.random.default_rng(seed + 2)
+    ctl = AdmissionController(_ADMIT_CORES, PolynomialPower(alpha=3.0, static=0.1), f_max=_F_MAX)
+    clock = 0.0
+    cold_s = 0.0
+    accepted = 0
+    with obs.capture() as spans, obs.span("smoke.admission"):
+        for k in range(_ADMIT_ARRIVALS):
+            clock += float(rng.exponential(0.5))
+            window = float(rng.uniform(20.0, 60.0))
+            task = Task(clock, clock + window, float(rng.uniform(0.3, 1.0)) * window * _F_MAX)
+            candidate = TaskSet([*(ctl.committed or ()), task])
+            t0 = time.perf_counter()
+            cold = realize_demands(candidate, ctl.m, candidate.works / _F_MAX).feasible
+            cold_s += time.perf_counter() - t0
+            decision = ctl.try_admit(task, materialize=False)
+            if decision.accepted != cold:
+                return False, (
+                    f"admission: arrival {k} warm accepted={decision.accepted}, "
+                    f"cold oracle says {cold}"
+                )
+            accepted += decision.accepted
+    warm_s = sum(s["dur_ms"] for s in spans if s["name"] == "admission.feasibility") / 1e3
+    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+    line = (
+        f"  ok  admit  arrivals={_ADMIT_ARRIVALS} accepted={accepted:3d} "
+        f"warm={warm_s * 1e3:7.1f}ms cold={cold_s * 1e3:7.1f}ms "
+        f"speedup={speedup:5.1f}x"
+    )
+    if speedup < _SPEEDUP_GATE:
+        return False, (
+            f"admission: warm speedup {speedup:.1f}x below the "
+            f"{_SPEEDUP_GATE:.0f}x gate (warm {warm_s:.3f}s, cold {cold_s:.3f}s)"
+        )
+    return True, line
+
+
 def run(seed: int = 0) -> int:
-    """Replay the stream per policy; return a process exit code."""
+    """Replay the streams; return a process exit code."""
     failures: list[str] = []
-    for method in SESSION_METHODS:
-        ok, line = _run_method(method, seed)
+    results = [_run_method(method, seed) for method in SESSION_METHODS]
+    results.append(_run_admission(seed))
+    for ok, line in results:
         if ok:
             print(line)
         else:
@@ -127,7 +181,10 @@ def run(seed: int = 0) -> int:
         for f in failures:
             print(f"FAIL {f}", file=sys.stderr)
         return 1
-    print(f"incremental smoke: {len(SESSION_METHODS)} policies bit-exact")
+    print(
+        f"incremental smoke: {len(SESSION_METHODS)} policies bit-exact, "
+        "admission decisions match the cold oracle"
+    )
     return 0
 
 

@@ -29,27 +29,80 @@ __all__ = ["DemandRealization", "check_demand_feasibility", "realize_demands"]
 
 
 def _build_network(
-    timeline: Timeline, m: int, demands: np.ndarray
-) -> tuple[MaxFlowNetwork, list[int], list[tuple[int, int, int]]]:
-    """Construct the flow network; returns (net, source edge ids, middle edges)."""
+    timeline: Timeline,
+    m: int,
+    demands: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    mid_flow: np.ndarray | None,
+) -> MaxFlowNetwork:
+    """Construct the flow network over the middle edges ``(rows, cols)``.
+
+    Edge ids: source edges ``0..n-1``, then the middle edges in order, then
+    the sink edges.  ``mid_flow`` optionally seeds the middle edges; the
+    source and sink edges then carry the node sums, so the seeded flow is
+    conserved by construction.
+    """
     n = len(timeline.tasks)
     J = len(timeline)
     # nodes: 0 = source, 1..n = tasks, n+1..n+J = subintervals, n+J+1 = sink
     source, sink = 0, n + J + 1
-    net = MaxFlowNetwork(n + J + 2)
-    source_edges = []
-    for i in range(n):
-        source_edges.append(net.add_edge(source, 1 + i, float(demands[i])))
-    middle: list[tuple[int, int, int]] = []  # (edge id, task, subinterval)
     lengths = timeline.lengths
-    cov = timeline.coverage
-    for i in range(n):
-        for j in np.flatnonzero(cov[i]):
-            eid = net.add_edge(1 + i, 1 + n + int(j), float(lengths[j]))
-            middle.append((eid, i, int(j)))
-    for j in range(J):
-        net.add_edge(1 + n + j, sink, float(m * lengths[j]))
-    return net, source_edges, middle
+    sink_caps = m * lengths
+    flows = None
+    if mid_flow is not None:
+        src_flow = np.bincount(rows, mid_flow, minlength=n)
+        sink_flow = np.bincount(cols, mid_flow, minlength=J)
+        if np.any(src_flow > demands * (1 + 1e-9)) or np.any(
+            sink_flow > sink_caps * (1 + 1e-9)
+        ):
+            raise ValueError("warm_start carries more flow than this network admits")
+        # an ulp of rounding slack past a capacity never moves the max flow
+        flows = np.concatenate([
+            np.minimum(src_flow, demands),
+            mid_flow,
+            np.minimum(sink_flow, sink_caps),
+        ])
+    net = MaxFlowNetwork(n + J + 2)
+    net.add_edges(
+        np.concatenate([np.full(n, source), 1 + rows, np.arange(n + 1, sink)]),
+        np.concatenate([np.arange(1, n + 1), 1 + n + cols, np.full(J, sink)]),
+        np.concatenate([demands, lengths[cols], sink_caps]),
+        flows,
+    )
+    return net
+
+
+def _carry_flow(
+    previous: DemandRealization, timeline: Timeline, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``previous.x`` carried onto ``timeline``'s middle edges.
+
+    Each old column's flow is split over the new columns inside it in
+    proportion to their length (an unsplit column keeps its values bit for
+    bit); tasks past the old prefix and columns outside the old horizon
+    start at zero.
+    """
+    n_old, J_old = previous.x.shape
+    old_b, new_b = previous.boundaries, timeline.boundaries
+    pos = np.searchsorted(new_b, old_b)
+    if (
+        n_old > len(timeline.tasks)
+        or old_b.size != J_old + 1
+        or np.any(pos >= new_b.size)
+        or np.any(new_b[np.minimum(pos, new_b.size - 1)] != old_b)
+    ):
+        raise ValueError("warm_start is not a realization of a prefix of these tasks")
+    lengths = timeline.lengths
+    parent = np.searchsorted(old_b, new_b[:-1], side="right") - 1
+    inside = (parent >= 0) & (parent < J_old)
+    parent = np.where(inside, parent, 0)
+    ratio = lengths / (old_b[parent + 1] - old_b[parent])
+    carried = (rows < n_old) & inside[cols]
+    r, c = rows[carried], cols[carried]
+    mid = np.zeros(rows.size)
+    mid[carried] = np.minimum(previous.x[r, parent[c]] * ratio[c], lengths[c])
+    return mid
 
 
 @dataclass(frozen=True)
@@ -60,6 +113,8 @@ class DemandRealization:
     x: np.ndarray  # (n, J) realized execution times (partial if infeasible)
     shortfall: np.ndarray  # per-task unmet demand
     bottleneck_subintervals: tuple[int, ...]  # min-cut side (when infeasible)
+    boundaries: np.ndarray  # the timeline ``x``'s columns live on
+    phases: int  # Dinic level graphs that carried flow
 
 
 def check_demand_feasibility(
@@ -70,7 +125,11 @@ def check_demand_feasibility(
 
 
 def realize_demands(
-    tasks: TaskSet, m: int, demands, rtol: float = 1e-9
+    tasks: TaskSet,
+    m: int,
+    demands,
+    rtol: float = 1e-9,
+    warm_start: DemandRealization | None = None,
 ) -> DemandRealization:
     """Max-flow realization of per-task total execution times.
 
@@ -83,6 +142,11 @@ def realize_demands(
         the task's window — no single machine can give more).
     rtol:
         Relative tolerance on the saturation test.
+    warm_start:
+        A realization for a prefix ``tasks[:k]`` of these tasks, with the
+        same demands on that prefix.  Its flow, refined onto this timeline,
+        is where Dinic starts; the result is still the exact max flow, so
+        ``feasible`` does not depend on the start.
 
     Returns
     -------
@@ -103,32 +167,34 @@ def realize_demands(
         raise ValueError("a demand exceeds its task's window (never realizable)")
 
     timeline = Timeline(tasks)
-    net, source_edges, middle = _build_network(timeline, m, demands)
-    result = net.max_flow(0, len(tasks) + len(timeline) + 1)
+    rows, cols = np.nonzero(timeline.coverage)
+    mid_flow = None
+    if warm_start is not None:
+        mid_flow = _carry_flow(warm_start, timeline, rows, cols)
+    n, J = len(tasks), len(timeline)
+    net = _build_network(timeline, m, demands, rows, cols, mid_flow)
+    result = net.max_flow(0, n + J + 1)
 
     total_demand = float(demands.sum())
     feasible = result.value >= total_demand * (1 - rtol) - 1e-12
 
-    x = np.zeros((len(tasks), len(timeline)))
-    for eid, i, j in middle:
-        x[i, j] = max(result.edge_flows[eid], 0.0)
-
-    realized = np.array([result.edge_flows[e] for e in source_edges])
-    shortfall = np.maximum(demands - realized, 0.0)
+    flows = np.array(result.edge_flows)
+    x = np.zeros((n, J))
+    x[rows, cols] = np.maximum(flows[n : n + rows.size], 0.0)
+    shortfall = np.maximum(demands - flows[:n], 0.0)
 
     bottleneck: tuple[int, ...] = ()
     if not feasible:
         # a subinterval is congested when its sink edge lies on the min cut,
         # i.e. the subinterval node is still reachable in the residual graph
         reach = net.min_cut_reachable(0)
-        n = len(tasks)
-        bottleneck = tuple(
-            j for j in range(len(timeline)) if reach[1 + n + j]
-        )
+        bottleneck = tuple(j for j in range(J) if reach[1 + n + j])
 
     return DemandRealization(
         feasible=feasible,
         x=x,
         shortfall=shortfall,
         bottleneck_subintervals=bottleneck,
+        boundaries=timeline.boundaries,
+        phases=result.phases,
     )

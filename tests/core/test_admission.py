@@ -119,3 +119,95 @@ class TestCrossValidation:
 
         real = realize_demands(committed, 2, committed.works / 1.0)
         assert real.feasible
+
+
+def _cold(tasks, m: int, f_max: float) -> bool:
+    """The oracle: a fresh realization of the minimal demands at f_max."""
+    from repro.optimal import realize_demands
+
+    ts = TaskSet(tasks)
+    if np.any(ts.works / f_max > ts.windows * (1 + 1e-12)):
+        return False
+    return realize_demands(ts, m, ts.works / f_max).feasible
+
+
+class TestWarmFlowState:
+    def test_deep_augmenting_path(self, power):
+        # the staircase [i-1, i+1], then [0, 1]: routing the last arrival
+        # shifts all 700 committed tasks, an augmenting path of ~1,400 nodes
+        ctl = AdmissionController(1, power, f_max=1.0)
+        for i in range(1, 701):
+            assert ctl.try_admit(Task(i - 1.0, i + 1.0, 1.0), materialize=False).accepted
+        assert ctl.try_admit(Task(0.0, 1.0, 1.0), materialize=False).accepted
+        assert len(ctl.committed) == 701
+
+    def test_reject_keeps_committed_flow(self, power):
+        ctl = AdmissionController(1, power, f_max=1.0)
+        assert ctl.try_admit(Task(0.0, 4.0, 2.0)).accepted
+        flow = ctl._flow
+        d = ctl.try_admit(Task(0.0, 4.0, 2.25))
+        assert not d.accepted and "collision-free" in d.reason
+        assert ctl._flow is flow
+        # the next decision still matches the cold oracle
+        nxt = Task(1.0, 3.0, 2.0)
+        expected = _cold([*ctl.committed, nxt], 1, 1.0)
+        assert expected and ctl.try_admit(nxt).accepted
+        assert not ctl.try_admit(Task(0.0, 4.0, 0.5)).accepted
+
+    def test_reset_drops_flow(self, power):
+        ctl = AdmissionController(1, power, f_max=1.0)
+        assert ctl.try_admit(Task(0.0, 4.0, 4.0)).accepted
+        ctl.reset()
+        assert ctl._flow is None
+        # a flow left behind would claim [0, 4] and refuse this one
+        assert ctl.try_admit(Task(0.0, 4.0, 4.0)).accepted
+
+    def test_materialize_failure_rolls_back_flow(self, power, monkeypatch):
+        ctl = AdmissionController(1, power, f_max=1.0)
+        assert ctl.try_admit(Task(0.0, 4.0, 2.0)).accepted
+        flow, energy = ctl._flow, ctl.current_energy
+
+        def boom():
+            raise RuntimeError("materialize failed")
+
+        monkeypatch.setattr(ctl.session, "result", boom)
+        with pytest.raises(RuntimeError):
+            ctl.try_admit(Task(0.0, 4.0, 2.0))
+        monkeypatch.undo()
+        assert ctl._flow is flow
+        assert len(ctl.committed) == 1 and len(ctl.session) == 1
+        assert ctl.current_energy == energy
+        # the rolled-back arrival still fits exactly once
+        assert ctl.try_admit(Task(0.0, 4.0, 2.0)).accepted
+        assert not ctl.try_admit(Task(0.0, 4.0, 0.5)).accepted
+
+    def test_is_schedulable_stays_cold(self, power, monkeypatch):
+        import repro.core.admission as admission
+
+        ctl = AdmissionController(1, power, f_max=1.0)
+        assert ctl.try_admit(Task(0.0, 4.0, 4.0)).accepted
+        starts = []
+        real = admission.realize_demands
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs.get("warm_start"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(admission, "realize_demands", spy)
+        # sets unrelated to the (full) committed window: judged on their own
+        other = TaskSet([Task(0.0, 4.0, 3.0), Task(2.0, 6.0, 1.0)])
+        assert ctl.is_schedulable(other)
+        assert not ctl.is_schedulable(TaskSet([Task(0.0, 2.0, 1.5), Task(0.0, 2.0, 1.5)]))
+        assert starts == [None, None]
+
+    def test_feasibility_span(self, power):
+        from repro.obs import context as obs
+
+        ctl = AdmissionController(1, power, f_max=1.0)
+        with obs.capture() as spans:
+            with obs.span("test.root"):
+                ctl.try_admit(Task(0.0, 4.0, 2.0), materialize=False)
+                ctl.try_admit(Task(0.0, 4.0, 3.0), materialize=False)
+        feas = [s["attrs"] for s in spans if s["name"] == "admission.feasibility"]
+        assert [(a["committed"], a["warm"]) for a in feas] == [(0, False), (1, True)]
+        assert all(a["phases"] >= 0 for a in feas)

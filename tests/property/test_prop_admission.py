@@ -1,10 +1,11 @@
 """Property tests: admission control consistency with the flow substrate."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AdmissionController, Task
+from repro.core import AdmissionController, Task, TaskSet
+from repro.optimal import realize_demands
 from repro.power import PolynomialPower
 
 from .strategies import cores_strategy, tasks_strategy
@@ -50,3 +51,44 @@ def test_marginal_energies_telescope(tasks, m):
     decisions = ctl.admit_all(tasks)
     total = sum(d.marginal_energy for d in decisions if d.accepted)
     assert np.isclose(total, ctl.current_energy, rtol=1e-9)
+
+
+@st.composite
+def arrival_streams(draw) -> list[Task]:
+    """Arrivals on a coarse grid, so new windows split old subintervals,
+    share their boundaries and stretch the horizon; some repeat an earlier
+    arrival outright."""
+    out: list[Task] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        if out and draw(st.integers(min_value=0, max_value=3)) == 0:
+            out.append(draw(st.sampled_from(out)))
+            continue
+        r = draw(st.integers(min_value=0, max_value=12))
+        w = draw(st.integers(min_value=1, max_value=8))
+        c = draw(st.integers(min_value=1, max_value=4 * w + 2)) * 0.25
+        out.append(Task(float(r), float(r + w), c))
+    return out
+
+
+def _stream(*triples) -> list[Task]:
+    return [Task(float(r), float(d), float(c)) for r, d, c in triples]
+
+
+@given(arrival_streams(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 1.5]))
+@example(_stream((0, 8, 4), (2, 5, 3), (3, 4, 1)), 1, 1.0)  # splits old subintervals
+@example(_stream((0, 4, 2), (4, 8, 2), (2, 4, 1), (4, 6, 1)), 1, 1.0)  # shared boundaries
+@example(_stream((4, 8, 2), (0, 6, 3), (6, 12, 3), (0, 12, 3)), 1, 1.0)  # horizon grows both ways
+@example(_stream((0, 4, 2), (0, 4, 2), (0, 4, 2)), 1, 1.0)  # duplicates
+@example(_stream((0, 4, 2), (0, 4, 2), (0, 4, 4), (0, 4, 4)), 2, 1.0)  # exact boundary
+@settings(max_examples=80, deadline=None)
+def test_warm_decisions_match_cold_oracle(stream, m, f_max):
+    """Each warm-started decision is the exact test computed from zero."""
+    ctl = AdmissionController(m, _POWER, f_max=f_max)
+    for task in stream:
+        candidate = TaskSet([*(ctl.committed or ()), task])
+        need = candidate.works / f_max
+        expected = bool(
+            np.all(need <= candidate.windows * (1 + 1e-12))
+            and realize_demands(candidate, m, need).feasible
+        )
+        assert ctl.try_admit(task, materialize=False).accepted == expected

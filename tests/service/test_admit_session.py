@@ -113,6 +113,31 @@ class TestPerPlatformSessions:
 
         _run(scenario)
 
+    def test_capped_admit_emits_feasibility_spans(self):
+        async def scenario(service):
+            for work in (4.0, 7.0):  # an accept, then a flow reject
+                await request_once(
+                    "127.0.0.1", service.port, "POST", "/v1/admit",
+                    {"task": [0.0, 10.0, work], "m": 1, "f_max": 1.0},
+                )
+            hist = service.metrics.snapshot()["histograms"].get(
+                "stage_ms:admission.feasibility"
+            )
+            assert hist is not None and hist["count"] == 2
+
+        _run(scenario)
+
+    def test_uncapped_admit_skips_feasibility_spans(self):
+        async def scenario(service):
+            await request_once(
+                "127.0.0.1", service.port, "POST", "/v1/admit",
+                {"task": [0.0, 10.0, 4.0]},
+            )
+            snap = service.metrics.snapshot()["histograms"]
+            assert "stage_ms:admission.feasibility" not in snap
+
+        _run(scenario)
+
 
 class TestAdmitStreamLoadgen:
     def test_admit_stream_round_trip(self):
