@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint test bench bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke perfbench-test
 
-check: lint test solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
+check: lint test solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke perfbench-test
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

@@ -39,7 +39,7 @@ import numpy as np
 from ..power.models import PolynomialPower
 from .allocation import AllocationMethod
 from .incremental import ScheduleSession
-from .schedule import Schedule, Segment
+from .schedule import Schedule
 from .scheduler import SubintervalScheduler
 from .task import Task, TaskSet
 
@@ -127,31 +127,31 @@ class OnlineSubintervalScheduler:
 
     @staticmethod
     def _execute_until(
-        plan_segments: list[Segment],
+        plan: tuple[np.ndarray, ...],
         horizon_end: float | None,
-        executed: list[Segment],
+        executed: list[tuple[np.ndarray, ...]],
         remaining: np.ndarray,
     ) -> None:
-        """Execute ``plan_segments`` up to ``horizon_end``, clipping at it."""
-        if horizon_end is None:
-            # last arrival: execute the plan to completion
-            executed.extend(plan_segments)
-            for seg in plan_segments:
-                remaining[seg.task_id] -= seg.work
-            return
-        for seg in plan_segments:
-            if seg.start >= horizon_end - _EPS:
-                continue
-            end = min(seg.end, horizon_end)
-            if end - seg.start <= _EPS:
-                continue
-            clipped = Segment(seg.task_id, seg.core, seg.start, end, seg.frequency)
-            executed.append(clipped)
-            remaining[seg.task_id] -= clipped.work
+        """Execute the plan's columns up to ``horizon_end``, clipping at it.
+
+        ``plan`` is ``(task, core, start, end, frequency)`` in schedule
+        order; the last arrival (``horizon_end is None``) runs it to
+        completion.
+        """
+        task, core, start, end, freq = plan
+        if horizon_end is not None:
+            end = np.minimum(end, horizon_end)
+            keep = (start < horizon_end - _EPS) & (end - start > _EPS)
+            task, core, start, end, freq = (
+                c[keep] for c in (task, core, start, end, freq)
+            )
+        executed.append((task, core, start, end, freq))
+        # in schedule order, one segment at a time, as execution would
+        np.subtract.at(remaining, task, freq * (end - start))
 
     def _finish(
         self,
-        executed: list[Segment],
+        executed: list[tuple[np.ndarray, ...]],
         remaining: np.ndarray,
         replans: int,
         touched: int = 0,
@@ -163,7 +163,8 @@ class OnlineSubintervalScheduler:
         if np.any(remaining > 0):
             leftover = {int(i): float(w) for i, w in enumerate(remaining) if w > 0}
             raise AssertionError(f"online run left work unfinished: {leftover}")
-        schedule = Schedule(self.tasks, self.m, self.power, executed)
+        columns = (np.concatenate(c) for c in zip(*executed))
+        schedule = Schedule.from_columns(self.tasks, self.m, self.power, *columns)
         return OnlineResult(
             schedule=schedule,
             replans=replans,
@@ -178,7 +179,7 @@ class OnlineSubintervalScheduler:
         n = len(tasks)
         remaining = tasks.works.copy()
         release_times = self._release_instants()
-        executed: list[Segment] = []
+        executed: list[tuple[np.ndarray, ...]] = []
         replans = 0
 
         session = ScheduleSession(self.m, self.power, method=self.method)
@@ -233,11 +234,9 @@ class OnlineSubintervalScheduler:
                     order.insert(idx, g)
             replans += 1
 
-            plan_segments = [
-                Segment(order[s.task_id], s.core, s.start, s.end, s.frequency)
-                for s in session.final_segments(before=horizon_end)
-            ]
-            self._execute_until(plan_segments, horizon_end, executed, remaining)
+            task, *rest = session.final_columns(before=horizon_end)
+            plan = (np.asarray(order, dtype=np.int64)[task], *rest)
+            self._execute_until(plan, horizon_end, executed, remaining)
 
         return self._finish(
             executed,
@@ -254,7 +253,7 @@ class OnlineSubintervalScheduler:
         n = len(tasks)
         remaining = tasks.works.copy()
         release_times = self._release_instants()
-        executed: list[Segment] = []
+        executed: list[tuple[np.ndarray, ...]] = []
         replans = 0
         columns = 0
 
@@ -270,10 +269,10 @@ class OnlineSubintervalScheduler:
             if not known:
                 continue
 
-            plan_segments, n_cols = self._replan(known, remaining, float(now))
+            plan, n_cols = self._replan(known, remaining, float(now))
             replans += 1
             columns += n_cols
-            self._execute_until(plan_segments, horizon_end, executed, remaining)
+            self._execute_until(plan, horizon_end, executed, remaining)
 
         return self._finish(
             executed, remaining, replans, touched=columns, total=columns
@@ -281,7 +280,7 @@ class OnlineSubintervalScheduler:
 
     def _replan(
         self, known: list[int], remaining: np.ndarray, now: float
-    ) -> tuple[list[Segment], int]:
+    ) -> tuple[tuple[np.ndarray, ...], int]:
         """Offline-plan the remaining work of the known tasks from ``now``."""
         sub_tasks = []
         id_map: list[int] = []
@@ -294,9 +293,6 @@ class OnlineSubintervalScheduler:
             sub_tasks.append(Task(now, deadline, float(remaining[i])))
             id_map.append(i)
         scheduler = SubintervalScheduler(TaskSet(sub_tasks), self.m, self.power)
-        plan = scheduler.final(self.method)
-        segments = [
-            Segment(id_map[s.task_id], s.core, s.start, s.end, s.frequency)
-            for s in plan.schedule
-        ]
-        return segments, len(scheduler.timeline)
+        s = scheduler.final(self.method).schedule
+        plan = (np.asarray(id_map)[s.task], s.core, s.start, s.end, s.frequency)
+        return plan, len(scheduler.timeline)

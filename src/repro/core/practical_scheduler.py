@@ -27,8 +27,8 @@ import numpy as np
 
 from ..power.discrete import DiscreteFrequencySet
 from .allocation import AllocationMethod
-from .schedule import Schedule, Segment
-from .scheduler import SubintervalScheduler
+from .schedule import Schedule
+from .scheduler import SubintervalScheduler, cut_slots
 
 __all__ = ["PracticalResult", "PracticalScheduler"]
 
@@ -106,9 +106,9 @@ class PracticalScheduler:
         # emitted schedule stays physically valid (it completes less work)
         used_times = np.minimum(used_times, plan.available_times)
 
-        segments = planner._fill_slots(plan, chosen, used_times)
+        columns = cut_slots(planner._slots_flat(plan), used_times, chosen)
         # rebind to the discrete model so energy comes from the table
-        schedule = Schedule(tasks, planner.m, self.fset, segments)
+        schedule = Schedule.from_columns(tasks, planner.m, self.fset, *columns)
         return PracticalResult(
             schedule=schedule,
             frequencies=chosen,

@@ -1,10 +1,10 @@
 """Concrete schedules: per-core, per-frequency execution segments.
 
 A :class:`Schedule` is the fully-resolved artifact every method in this
-library ultimately produces: a set of :class:`Segment` records, each saying
-*task i runs on core k over [start, end] at frequency f*.  It is what the
-discrete-event simulator replays, what the validator checks, and what the
-Gantt renderers draw.
+library ultimately produces: a set of segments, each saying *task i runs on
+core k over [start, end] at frequency f*, stored as one numpy column per
+field.  It is what the discrete-event simulator replays, what the validator
+checks, and what the Gantt renderers draw.
 
 Energy bookkeeping lives here too because for the paper's model it is a pure
 function of the segments: an active core at frequency ``f`` for duration
@@ -22,6 +22,9 @@ from ..power.models import PowerModel
 from .task import TaskSet
 
 __all__ = ["Segment", "Schedule"]
+
+#: the per-segment columns of a :class:`Schedule`, in ``Segment`` field order
+_COLUMNS = ("task", "core", "start", "end", "frequency")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +74,24 @@ class Segment:
 class Schedule(Sequence[Segment]):
     """An immutable collection of segments bound to a task set and platform.
 
-    Invariants (enforced by :mod:`repro.sim.validate`, not by construction,
-    so partially-built or deliberately-broken schedules can be represented
-    for testing): no core executes two segments at once, no task executes on
-    two cores at once, every segment lies inside its task's window, and each
-    task's total work equals its requirement.
+    Storage is columnar: five read-only arrays ``task``, ``core``, ``start``,
+    ``end`` and ``frequency``, one entry per segment, ordered by ``(start,
+    core, task)`` (a stable sort, so exact ties keep their input order).
+    Every aggregate below is an array operation over these columns.
+    :class:`Segment` stays the element type of the sequence protocol; the
+    segment tuple is built lazily, at most once per schedule.
+
+    Construction checks what a :class:`Segment` checks (ids ≥ 0, ``end >
+    start``, ``frequency > 0``) plus task ids ``< len(tasks)`` and cores
+    ``< n_cores``.  The scheduling invariants (no core executes two segments
+    at once, no task executes on two cores at once, every segment lies
+    inside its task's window, each task's total work equals its requirement)
+    are enforced by :mod:`repro.sim.validate`, not by construction, so
+    partially-built or deliberately-broken schedules can be represented for
+    testing.
     """
 
-    __slots__ = ("tasks", "n_cores", "power", "_segments")
+    __slots__ = ("tasks", "n_cores", "power", *_COLUMNS, "_segments")
 
     def __init__(
         self,
@@ -87,74 +100,109 @@ class Schedule(Sequence[Segment]):
         power: PowerModel,
         segments: Iterable[Segment],
     ):
+        rows = [(s.task_id, s.core, s.start, s.end, s.frequency) for s in segments]
+        columns = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+        self._bind(tasks, n_cores, power, columns)
+
+    @classmethod
+    def from_columns(
+        cls, tasks: TaskSet, n_cores: int, power: PowerModel, *columns
+    ) -> "Schedule":
+        """Build a schedule from parallel ``task, core, start, end,
+        frequency`` arrays, one entry per segment, in any order."""
+        self = cls.__new__(cls)
+        self._bind(tasks, n_cores, power, columns)
+        return self
+
+    def _bind(self, tasks, n_cores, power, columns) -> None:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
-        self.tasks = tasks
-        self.n_cores = int(n_cores)
-        self.power = power
-        segs = tuple(sorted(segments, key=lambda s: (s.start, s.core, s.task_id)))
-        for s in segs:
-            if s.task_id >= len(tasks):
-                raise ValueError(f"segment references unknown task {s.task_id}")
-            if s.core >= n_cores:
-                raise ValueError(
-                    f"segment placed on core {s.core} but platform has {n_cores}"
-                )
-        self._segments = segs
+        self.tasks, self.n_cores, self.power = tasks, int(n_cores), power
+        task, core = (np.asarray(c, dtype=np.int64) for c in columns[:2])
+        start, end, freq = (np.asarray(c, dtype=np.float64) for c in columns[2:])
+        if np.any(task < 0) or np.any(core < 0):
+            raise ValueError("task ids and cores must be nonnegative")
+        if not np.all(end > start):
+            raise ValueError("segments must have positive length")
+        if not np.all(freq > 0):
+            raise ValueError("frequency must be positive")
+        if np.any(task >= len(tasks)):
+            raise ValueError(f"segment references unknown task {task.max()}")
+        if np.any(core >= n_cores):
+            raise ValueError(f"segment on core {core.max()}; platform has {n_cores}")
+        order = np.lexsort((task, core, start))
+        for name, col in zip(_COLUMNS, (task, core, start, end, freq)):
+            col = col[order]
+            col.flags.writeable = False
+            setattr(self, name, col)
+        self._segments: tuple[Segment, ...] | None = None
 
     # -- Sequence protocol ---------------------------------------------------------
 
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments as :class:`Segment` records, in schedule order."""
+        if self._segments is None:
+            self._segments = tuple(
+                map(Segment, *(getattr(self, c).tolist() for c in _COLUMNS))
+            )
+        return self._segments
+
     def __len__(self) -> int:
-        return len(self._segments)
+        return self.task.size
 
     def __iter__(self) -> Iterator[Segment]:
-        return iter(self._segments)
+        return iter(self.segments)
 
     def __getitem__(self, i):  # type: ignore[override]
-        return self._segments[i]
+        return self.segments[i]
 
     def __repr__(self) -> str:
         return (
-            f"Schedule({len(self._segments)} segments, {len(self.tasks)} tasks, "
+            f"Schedule({len(self)} segments, {len(self.tasks)} tasks, "
             f"{self.n_cores} cores, E={self.total_energy():.6g})"
         )
 
     # -- energy ---------------------------------------------------------------------
 
+    @property
+    def durations(self) -> np.ndarray:
+        """Per-segment lengths ``end − start``."""
+        return self.end - self.start
+
+    def _energies(self, mask=slice(None)) -> np.ndarray:
+        f = self.frequency[mask]
+        return np.asarray(self.power.power(f)) * self.durations[mask]
+
     def total_energy(self) -> float:
         """Total energy of all segments: ``Σ p(f)·Δ``."""
-        if not self._segments:
+        if not len(self):
             return 0.0
-        f = np.array([s.frequency for s in self._segments])
-        d = np.array([s.duration for s in self._segments])
-        return float(np.sum(np.asarray(self.power.power(f)) * d))
+        return float(np.sum(self._energies()))
 
     def task_energy(self, task_id: int) -> float:
         """Energy attributable to one task's segments."""
-        segs = [s for s in self._segments if s.task_id == task_id]
-        if not segs:
+        mask = self.task == task_id
+        if not mask.any():
             return 0.0
-        f = np.array([s.frequency for s in segs])
-        d = np.array([s.duration for s in segs])
-        return float(np.sum(np.asarray(self.power.power(f)) * d))
+        return float(np.sum(self._energies(mask)))
 
     def energy_breakdown(self) -> np.ndarray:
         """Per-task energy as an array indexed by task id."""
-        out = np.zeros(len(self.tasks))
-        for s in self._segments:
-            out[s.task_id] += float(np.asarray(self.power.power(s.frequency))) * s.duration
-        return out
+        return np.bincount(
+            self.task, weights=self._energies(), minlength=len(self.tasks)
+        )
 
     # -- work accounting --------------------------------------------------------------
 
     def work_completed(self, task_id: int | None = None):
         """Cycles completed — per task id, or the full per-task array."""
-        if task_id is not None:
-            return float(sum(s.work for s in self._segments if s.task_id == task_id))
-        out = np.zeros(len(self.tasks))
-        for s in self._segments:
-            out[s.task_id] += s.work
-        return out
+        out = np.bincount(
+            self.task,
+            weights=self.frequency * self.durations,
+            minlength=len(self.tasks),
+        )
+        return out if task_id is None else float(out[task_id])
 
     def completes_all(self, rtol: float = 1e-9, atol: float = 1e-9) -> bool:
         """True when every task's completed work matches its requirement."""
@@ -166,49 +214,37 @@ class Schedule(Sequence[Segment]):
 
     def segments_of_task(self, task_id: int) -> list[Segment]:
         """Segments of one task, in time order."""
-        return [s for s in self._segments if s.task_id == task_id]
+        segs = self.segments
+        return [segs[k] for k in np.flatnonzero(self.task == task_id)]
 
     def segments_of_core(self, core: int) -> list[Segment]:
         """Segments on one core, in time order."""
-        return [s for s in self._segments if s.core == core]
+        segs = self.segments
+        return [segs[k] for k in np.flatnonzero(self.core == core)]
 
     def busy_time(self) -> np.ndarray:
         """Per-core total active time."""
-        out = np.zeros(self.n_cores)
-        for s in self._segments:
-            out[s.core] += s.duration
-        return out
+        return np.bincount(self.core, weights=self.durations, minlength=self.n_cores)
 
     def span(self) -> tuple[float, float]:
         """``(earliest start, latest end)`` over all segments."""
-        if not self._segments:
+        if not len(self):
             r, d = self.tasks.horizon
             return (r, r)
-        return (
-            min(s.start for s in self._segments),
-            max(s.end for s in self._segments),
-        )
+        return (float(self.start.min()), float(self.end.max()))
 
     def preemption_count(self) -> int:
         """Number of task segment boundaries beyond the first per task."""
-        counts: dict[int, int] = {}
-        for s in self._segments:
-            counts[s.task_id] = counts.get(s.task_id, 0) + 1
-        return sum(max(c - 1, 0) for c in counts.values())
+        return len(self) - np.unique(self.task).size
 
     def migration_count(self) -> int:
         """Number of times a task's consecutive segments change core."""
-        per_task: dict[int, list[Segment]] = {}
-        for s in self._segments:
-            per_task.setdefault(s.task_id, []).append(s)
-        migrations = 0
-        for segs in per_task.values():
-            segs.sort(key=lambda s: s.start)
-            migrations += sum(
-                1 for a, b in zip(segs, segs[1:]) if a.core != b.core
-            )
-        return migrations
+        order = np.lexsort((self.start, self.task))
+        task, core = self.task[order], self.core[order]
+        return int(np.count_nonzero((task[1:] == task[:-1]) & (core[1:] != core[:-1])))
 
     def with_power(self, power: PowerModel) -> "Schedule":
         """Same segments evaluated under a different power model."""
-        return Schedule(self.tasks, self.n_cores, power, self._segments)
+        return Schedule.from_columns(
+            self.tasks, self.n_cores, power, *(getattr(self, c) for c in _COLUMNS)
+        )

@@ -25,15 +25,16 @@ import numpy as np
 
 from ..power.models import PolynomialPower
 from .allocation import AllocationMethod, AllocationPlan, build_allocation_plan
-from .frequency import FrequencyAssignment, refine_frequencies
+from .frequency import refine_frequencies
 from .ideal import IdealSolution, solve_ideal
 from .intervals import Timeline
-from .schedule import Schedule, Segment
+from .schedule import Schedule
 from .task import TaskSet
 from .wrap_schedule import PackedSlots, Slot, pack_matrix_flat, wrap_schedule
 
 __all__ = [
     "SchedulingResult",
+    "cut_slots",
     "SubintervalScheduler",
     "schedule_taskset",
 ]
@@ -172,18 +173,7 @@ class SubintervalScheduler:
         fills its earliest available slots until its work is done, leaving
         the rest of its available time idle (cores sleep).
         """
-        plan = self.plan(method)
-        assign = refine_frequencies(self.tasks.works, plan.available_times, self.power)
-        segments = self._fill_slots(plan, assign.frequencies, assign.used_times)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
-        kind = "F1" if method == "even" else "F2"
-        return SchedulingResult(
-            kind=kind,
-            energy=assign.total_energy,
-            plan=plan,
-            schedule=schedule,
-            frequencies=assign.frequencies,
-        )
+        return self._final(self.plan(method), "F1" if method == "even" else "F2")
 
     def final_from_plan(self, plan: AllocationPlan, kind: str = "F*") -> SchedulingResult:
         """Final schedule from an externally-built allocation plan.
@@ -206,62 +196,19 @@ class SubintervalScheduler:
                     "than this scheduler"
                 )
         plan.check()
+        return self._final(plan, kind)
+
+    def _final(self, plan: AllocationPlan, kind: str) -> SchedulingResult:
         assign = refine_frequencies(self.tasks.works, plan.available_times, self.power)
-        segments = self._fill_slots(plan, assign.frequencies, assign.used_times)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
+        columns = cut_slots(
+            self._slots_flat(plan), assign.used_times, assign.frequencies
+        )
         return SchedulingResult(
             kind=kind,
             energy=assign.total_energy,
             plan=plan,
-            schedule=schedule,
+            schedule=Schedule.from_columns(self.tasks, self.m, self.power, *columns),
             frequencies=assign.frequencies,
-        )
-
-    def _fill_slots(
-        self,
-        plan: AllocationPlan,
-        frequencies: np.ndarray,
-        used_times: np.ndarray,
-    ) -> list[Segment]:
-        """Cut each task's earliest slots down to its used time, batched.
-
-        Per task (slots in time order) the kept prefix is a cumulative-sum
-        cut: slot ``k`` contributes ``clip(used − prefix_k, 0, duration_k)``.
-        """
-        ps = self._slots_flat(plan)
-        if len(ps) == 0:
-            return []
-        order = np.lexsort((ps.start, ps.task))
-        t = ps.task[order]
-        start = ps.start[order]
-        dur = ps.durations[order]
-        cum = np.cumsum(dur)
-        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        base = np.zeros(len(self.tasks))
-        base[t[first]] = cum[first] - dur[first]
-        prefix = cum - dur - base[t]  # slot time before this slot, per task
-        take = np.clip(used_times[t] - prefix, 0.0, dur)
-
-        placed = np.bincount(t, weights=take, minlength=len(self.tasks))
-        short = used_times - placed
-        bad = short > 1e-6 * np.maximum(used_times, 1.0)
-        if np.any(bad):
-            tid = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"task {tid}: could not place {short[tid]} of its execution "
-                "time into available slots (allocation bug)"
-            )
-
-        keep = take > _EPS
-        return list(
-            map(
-                Segment,
-                t[keep].tolist(),
-                ps.core[order][keep].tolist(),
-                start[keep].tolist(),
-                (start[keep] + take[keep]).tolist(),
-                frequencies[t[keep]].tolist(),
-            )
         )
 
     # -- intermediate schedules (S^I1 / S^I2) ----------------------------------------------
@@ -297,41 +244,29 @@ class SubintervalScheduler:
             np.sum(np.asarray(self.power.power(freq[active])) * time_used[active])
         )
 
-        segments = self._intermediate_segments(plan, time_used, freq, active)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
-        kind = "I1" if method == "even" else "I2"
-        return SchedulingResult(kind=kind, energy=energy, plan=plan, schedule=schedule)
-
-    def _intermediate_segments(
-        self,
-        plan: AllocationPlan,
-        time_used: np.ndarray,
-        freq: np.ndarray,
-        active: np.ndarray,
-    ) -> list[Segment]:
-        """Concrete segments for an intermediate schedule.
-
-        Within each subinterval the *used* times (≤ allocated times) are
-        packed with Algorithm 1 directly, so feasibility follows from the
-        allocation's feasibility.  Packing runs through the same batched
-        cumulative-sum pass as :meth:`_slots_flat`.
-        """
-        used = np.where(active, time_used, 0.0)
+        # within each subinterval the *used* times (<= allocated times) are
+        # packed with Algorithm 1 directly, so feasibility follows from the
+        # allocation's feasibility
         ps = pack_matrix_flat(
-            self.timeline.boundaries, used, self.m, self.timeline.overlap_counts
+            self.timeline.boundaries,
+            np.where(active, time_used, 0.0),
+            self.m,
+            self.timeline.overlap_counts,
         )
         keep = ps.durations > _EPS
         task = ps.task[keep]
-        return list(
-            map(
-                Segment,
-                task.tolist(),
-                ps.core[keep].tolist(),
-                ps.start[keep].tolist(),
-                ps.end[keep].tolist(),
-                freq[task, ps.sub[keep]].tolist(),
-            )
+        schedule = Schedule.from_columns(
+            self.tasks,
+            self.m,
+            self.power,
+            task,
+            ps.core[keep],
+            ps.start[keep],
+            ps.end[keep],
+            freq[task, ps.sub[keep]],
         )
+        kind = "I1" if method == "even" else "I2"
+        return SchedulingResult(kind=kind, energy=energy, plan=plan, schedule=schedule)
 
     # -- one-call convenience --------------------------------------------------------------
 
@@ -343,6 +278,42 @@ class SubintervalScheduler:
             "I2": self.intermediate("der"),
             "F2": self.final("der"),
         }
+
+
+def cut_slots(
+    ps: PackedSlots, used_times: np.ndarray, frequencies: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Cut each task's earliest slots down to its used time, batched.
+
+    Per task (slots in time order) the kept prefix is a cumulative-sum cut:
+    slot ``k`` contributes ``clip(used − prefix_k, 0, duration_k)``.  Returns
+    the kept pieces as ``(task, core, start, end, frequency)`` columns in
+    task-major order, ready for :meth:`Schedule.from_columns`.
+    """
+    order = np.lexsort((ps.start, ps.task))
+    t = ps.task[order]
+    start = ps.start[order]
+    dur = ps.durations[order]
+    cum = np.cumsum(dur)
+    first = np.flatnonzero(np.diff(t, prepend=-1))
+    base = np.zeros(len(used_times))
+    base[t[first]] = cum[first] - dur[first]
+    prefix = cum - dur - base[t]  # slot time before this slot, per task
+    take = np.clip(used_times[t] - prefix, 0.0, dur)
+
+    placed = np.bincount(t, weights=take, minlength=len(used_times))
+    short = used_times - placed
+    bad = short > 1e-6 * np.maximum(used_times, 1.0)
+    if np.any(bad):
+        tid = int(np.flatnonzero(bad)[0])
+        raise AssertionError(
+            f"task {tid}: could not place {short[tid]} of its execution "
+            "time into available slots (allocation bug)"
+        )
+
+    keep = take > _EPS
+    t, start = t[keep], start[keep]
+    return (t, ps.core[order][keep], start, start + take[keep], frequencies[t])
 
 
 def schedule_taskset(

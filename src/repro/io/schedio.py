@@ -11,68 +11,84 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..core.schedule import Schedule, Segment
-from ..core.task import TaskSet
-from ..power.models import PolynomialPower
-from .taskio import taskset_from_json, taskset_to_json
+import numpy as np
 
-__all__ = ["schedule_to_json", "schedule_from_json", "save_schedule", "load_schedule"]
+from ..core.schedule import Schedule
+from ..power.models import PolynomialPower
+from .taskio import taskset_from_dict, taskset_to_dict
+
+__all__ = [
+    "schedule_to_dict",
+    "schedule_from_dict",
+    "schedule_to_json",
+    "schedule_from_json",
+    "save_schedule",
+    "load_schedule",
+]
 
 _FORMAT = "repro-schedule"
 _VERSION = 1
 
 
-def schedule_to_json(schedule: Schedule, indent: int | None = 2) -> str:
-    """Serialize a schedule (with its task set and power model) to JSON."""
+def schedule_to_dict(schedule: Schedule) -> dict:
+    """The JSON document of a schedule, as plain Python objects.
+
+    Built straight from the schedule's columns; :func:`schedule_to_json`
+    is ``json.dumps`` of this, and the service returns it as is, so a
+    served plan is encoded exactly once, by the response writer.
+    """
     power = schedule.power
     if not isinstance(power, PolynomialPower):
         raise TypeError(
             "only PolynomialPower schedules are serializable "
             f"(got {type(power).__name__})"
         )
-    payload = {
+    return {
         "format": _FORMAT,
         "version": _VERSION,
         "n_cores": schedule.n_cores,
         "power": {"alpha": power.alpha, "static": power.static, "gamma": power.gamma},
-        "tasks": json.loads(taskset_to_json(schedule.tasks)),
+        "tasks": taskset_to_dict(schedule.tasks),
         "segments": [
-            {
-                "task": s.task_id,
-                "core": s.core,
-                "start": s.start,
-                "end": s.end,
-                "frequency": s.frequency,
-            }
-            for s in schedule
+            {"task": t, "core": c, "start": s, "end": e, "frequency": f}
+            for t, c, s, e, f in zip(
+                schedule.task.tolist(),
+                schedule.core.tolist(),
+                schedule.start.tolist(),
+                schedule.end.tolist(),
+                schedule.frequency.tolist(),
+            )
         ],
     }
-    return json.dumps(payload, indent=indent)
 
 
-def schedule_from_json(text: str) -> Schedule:
-    """Reconstruct a schedule from its JSON form."""
-    payload = json.loads(text)
+def schedule_to_json(schedule: Schedule, indent: int | None = 2) -> str:
+    """Serialize a schedule (with its task set and power model) to JSON."""
+    return json.dumps(schedule_to_dict(schedule), indent=indent)
+
+
+def schedule_from_dict(payload) -> Schedule:
+    """Reconstruct a schedule from its parsed JSON document."""
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise ValueError(f"not a {_FORMAT} document")
     if payload.get("version") != _VERSION:
         raise ValueError(f"unsupported {_FORMAT} version")
-    tasks = taskset_from_json(json.dumps(payload["tasks"]))
+    tasks = taskset_from_dict(payload["tasks"])
     p = payload["power"]
     power = PolynomialPower(
         alpha=float(p["alpha"]), static=float(p["static"]), gamma=float(p.get("gamma", 1.0))
     )
-    segments = [
-        Segment(
-            task_id=int(s["task"]),
-            core=int(s["core"]),
-            start=float(s["start"]),
-            end=float(s["end"]),
-            frequency=float(s["frequency"]),
-        )
+    rows = [
+        (s["task"], s["core"], s["start"], s["end"], s["frequency"])
         for s in payload["segments"]
     ]
-    return Schedule(tasks, int(payload["n_cores"]), power, segments)
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    return Schedule.from_columns(tasks, int(payload["n_cores"]), power, *columns)
+
+
+def schedule_from_json(text: str) -> Schedule:
+    """Reconstruct a schedule from its JSON form."""
+    return schedule_from_dict(json.loads(text))
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:

@@ -141,7 +141,8 @@ def realize_demands(
         Per-task desired total execution time ``A_i`` (each must not exceed
         the task's window — no single machine can give more).
     rtol:
-        Relative tolerance on the saturation test.
+        Relative tolerance on each task's saturation test (a task may fall
+        short of its own demand by ``rtol·A_i + 1e-12``).
     warm_start:
         A realization for a prefix ``tasks[:k]`` of these tasks, with the
         same demands on that prefix.  Its flow, refined onto this timeline,
@@ -175,19 +176,19 @@ def realize_demands(
     net = _build_network(timeline, m, demands, rows, cols, mid_flow)
     result = net.max_flow(0, n + J + 1)
 
-    total_demand = float(demands.sum())
-    feasible = result.value >= total_demand * (1 - rtol) - 1e-12
-
     flows = np.array(result.edge_flows)
     x = np.zeros((n, J))
     x[rows, cols] = np.maximum(flows[n : n + rows.size], 0.0)
     shortfall = np.maximum(demands - flows[:n], 0.0)
+    # saturation per task: one task's slack never scales with the others'
+    # demand, so a long committed history cannot hide a blocked arrival
+    feasible = bool(np.all(shortfall <= demands * rtol + 1e-12))
 
     bottleneck: tuple[int, ...] = ()
     if not feasible:
         # a subinterval is congested when its sink edge lies on the min cut,
         # i.e. the subinterval node is still reachable in the residual graph
-        reach = net.min_cut_reachable(0)
+        reach = result.reachable
         bottleneck = tuple(j for j in range(J) if reach[1 + n + j])
 
     return DemandRealization(

@@ -41,6 +41,9 @@ class FlowResult:
     # flows on the *forward* edges, in insertion order
     edge_flows: tuple[float, ...]
     phases: int = 0  # level graphs that carried flow
+    # per node: reachable from the source in the final residual graph (the
+    # source side of a minimum cut)
+    reachable: tuple[bool, ...] = ()
 
 
 class MaxFlowNetwork:
@@ -99,7 +102,12 @@ class MaxFlowNetwork:
 
     # -- Dinic ---------------------------------------------------------------------
 
-    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+    def _bfs_levels(self, s: int, t: int) -> list[int]:
+        """Residual BFS levels from ``s`` (``-1`` = unreached).
+
+        The search stops early only once ``t`` is reached; when it is not,
+        the levels mark the whole residual-reachable set.
+        """
         to, cap, flow, adj = self._to, self._cap, self._flow, self._adj
         levels = [-1] * self.n
         levels[s] = 0
@@ -113,7 +121,7 @@ class MaxFlowNetwork:
                 if levels[v] < 0 and cap[e] - flow[e] > _EPS:
                     levels[v] = lu + 1
                     queue.append(v)
-        return levels if levels[t] >= 0 else None
+        return levels
 
     def _blocking_flow(self, s: int, t: int, levels: list[int], total: float) -> float:
         """Augment along level paths until none is left; returns ``total``
@@ -178,25 +186,13 @@ class MaxFlowNetwork:
         phases = 0
         while True:
             levels = self._bfs_levels(source, sink)
-            if levels is None:
+            if levels[sink] < 0:
                 break
             total = self._blocking_flow(source, sink, levels, total)
             phases += 1
         return FlowResult(
-            value=total, edge_flows=tuple(self._flow[0::2]), phases=phases
+            value=total,
+            edge_flows=tuple(self._flow[0::2]),
+            phases=phases,
+            reachable=tuple(level >= 0 for level in levels),
         )
-
-    def min_cut_reachable(self, source: int) -> list[bool]:
-        """After :meth:`max_flow`: residual reachability (the min-cut side)."""
-        to, cap, flow, adj = self._to, self._cap, self._flow, self._adj
-        seen = [False] * self.n
-        seen[source] = True
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for e in adj[u]:
-                v = to[e]
-                if not seen[v] and cap[e] - flow[e] > _EPS:
-                    seen[v] = True
-                    stack.append(v)
-        return seen

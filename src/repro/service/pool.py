@@ -16,7 +16,10 @@ heuristic) are *fused*: shifted onto disjoint time windows, concatenated
 into one super-instance, and solved by a single vectorized pipeline pass
 (see :func:`_solve_fused`).  The fixed per-solve Python/numpy overhead is
 paid once per batch instead of once per request, which is where
-micro-batching earns its throughput on small instances.
+micro-batching earns its throughput on small instances.  On large ones
+fusion is slower than solving the jobs one by one, and its energies
+differ from solo ones in the last bits (``docs/service.md`` has the
+measured ratios; ``python -m benchmarks.bench_fusion`` re-measures them).
 
 ``dispatch_count`` counts executor submissions.  Cache hits bypass this
 module entirely, and the tests pin that down by asserting the counter
@@ -36,13 +39,11 @@ MetricsRegistry`.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import random
 import signal
 import time
-from bisect import bisect_right
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Sequence
 
@@ -142,9 +143,22 @@ def _degradation_kwargs(job: dict) -> dict:
     return kwargs
 
 
+def _schedule_doc(schedule) -> dict:
+    """The plan's wire document, built once from the schedule's columns.
+
+    The result dict carries it as plain objects; the server's response
+    encode is the only JSON encode a served plan goes through.
+    """
+    from ..io.schedio import schedule_to_dict
+
+    if not obs.active():
+        return schedule_to_dict(schedule)
+    with obs.span("pool.pack"):
+        return schedule_to_dict(schedule)
+
+
 def _solve_one_schedule(job: dict) -> dict:
     from ..engine import Platform, SolveRequest, solve
-    from ..io.schedio import schedule_to_json
 
     tasks, m, power = _build_instance(job)
     request = SolveRequest(tasks=tasks, platform=Platform(m=m, power=power))
@@ -170,15 +184,7 @@ def _solve_one_schedule(job: dict) -> dict:
         if key in result.extras:
             out[key] = result.extras[key]
     if job.get("include_schedule", True) and result.schedule is not None:
-        if obs.active():
-            with obs.span("pool.pack"):
-                out["schedule"] = json.loads(
-                    schedule_to_json(result.schedule, indent=None)
-                )
-        else:
-            out["schedule"] = json.loads(
-                schedule_to_json(result.schedule, indent=None)
-            )
+        out["schedule"] = _schedule_doc(result.schedule)
     return out
 
 
@@ -216,14 +222,16 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
     packing, frequency refinement — decomposes per column exactly as it
     would for each instance alone, while numpy sweeps the whole batch in
     one pass.  The solution is then split back per instance by task-id
-    range and unshifted (float error ~1 ulp of the offset, far inside the
-    validator's 1e-9 tolerance).
+    range and unshifted.  The shift costs float error of about an ulp of
+    the offset, far inside the validator's 1e-9 tolerance, so a fused
+    plan matches its solo plan up to rounding, not bit for bit.
     """
-    from ..core.schedule import Schedule, Segment
+    import numpy as np
+
+    from ..core.schedule import Schedule
     from ..core.scheduler import SubintervalScheduler
     from ..core.task import Task, TaskSet
     from ..engine import resolve_name
-    from ..io.schedio import schedule_to_json
     from ..power.models import PolynomialPower
 
     m = int(jobs[0]["m"])
@@ -257,24 +265,24 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
 
     result = SubintervalScheduler(TaskSet(fused_tasks), m, power).final(method)
 
-    # split segments back per instance (task ids are contiguous per instance)
-    per_instance: list[list[Segment]] = [[] for _ in jobs]
-    for s in result.schedule:
-        j = bisect_right(first_id, s.task_id) - 1
-        off = offsets[j]
-        per_instance[j].append(
-            Segment(
-                task_id=s.task_id - first_id[j],
-                core=s.core,
-                start=s.start - off,
-                end=s.end - off,
-                frequency=s.frequency,
-            )
-        )
-
+    # split the columns back per instance (task ids are contiguous per
+    # instance) and unshift them
+    fused = result.schedule
+    owner = np.searchsorted(first_id, fused.task, side="right") - 1
     out = []
-    for job, ts, segs in zip(jobs, instances, per_instance):
-        schedule = Schedule(ts, m, power, segs)
+    for j, (job, ts) in enumerate(zip(jobs, instances)):
+        mine = owner == j
+        off = offsets[j]
+        schedule = Schedule.from_columns(
+            ts,
+            m,
+            power,
+            fused.task[mine] - first_id[j],
+            fused.core[mine],
+            fused.start[mine] - off,
+            fused.end[mine] - off,
+            fused.frequency[mine],
+        )
         res = {
             "kind": f"S^{result.kind}",
             "energy": schedule.total_energy(),
@@ -284,7 +292,7 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
             "solver": solver,
         }
         if job.get("include_schedule", True):
-            res["schedule"] = json.loads(schedule_to_json(schedule, indent=None))
+            res["schedule"] = _schedule_doc(schedule)
         out.append(res)
     return out
 

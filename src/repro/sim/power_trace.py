@@ -81,16 +81,9 @@ def power_trace(schedule: Schedule) -> PowerTrace:
         lo, _ = schedule.tasks.horizon
         return PowerTrace(times=np.array([lo, lo]), levels=np.array([0.0]))
 
-    boundaries = np.unique(
-        np.concatenate(
-            [[s.start for s in schedule], [s.end for s in schedule]]
-        )
-    )
-    starts = np.array([s.start for s in schedule])
-    ends = np.array([s.end for s in schedule])
-    powers = np.array(
-        [float(np.asarray(schedule.power.power(s.frequency))) for s in schedule]
-    )
+    starts, ends = schedule.start, schedule.end
+    boundaries = np.unique(np.concatenate([starts, ends]))
+    powers = np.asarray(schedule.power.power(schedule.frequency), dtype=np.float64)
 
     levels = np.zeros(len(boundaries) - 1)
     mids = 0.5 * (boundaries[:-1] + boundaries[1:])

@@ -49,24 +49,35 @@ class Violation:
 
 
 def _overlap_violations(
-    items: list, key: str, kind: ViolationKind, tol: float
+    schedule: Schedule, key: str, kind: ViolationKind, tol: float
 ) -> list[Violation]:
-    """Detect pairwise overlaps within a pre-grouped, time-sorted list."""
+    """Overlaps between time-consecutive segments sharing a ``key`` column.
+
+    One stable lexsort by (``key``, start) lines up each group's segments
+    in time order; a pair overlaps when the later one starts before the
+    earlier one ends (less ``tol``).
+    """
+    group = getattr(schedule, key)
+    order = np.lexsort((schedule.start, group))
+    g = group[order]
+    task, core = schedule.task[order], schedule.core[order]
+    start, end = schedule.start[order], schedule.end[order]
+    hits = np.flatnonzero((g[1:] == g[:-1]) & (start[1:] < end[:-1] - tol))
     out: list[Violation] = []
-    for a, b in zip(items, items[1:]):
-        if b.start < a.end - tol:
-            out.append(
-                Violation(
-                    kind=kind,
-                    detail=(
-                        f"{key} segments [{a.start:g},{a.end:g}] (task {a.task_id}, "
-                        f"core {a.core}) and [{b.start:g},{b.end:g}] (task "
-                        f"{b.task_id}, core {b.core}) overlap"
-                    ),
-                    task_id=a.task_id,
-                    core=a.core,
-                )
+    for a in hits.tolist():
+        b = a + 1
+        out.append(
+            Violation(
+                kind=kind,
+                detail=(
+                    f"{key} {g[a]} segments [{start[a]:g},{end[a]:g}] (task "
+                    f"{task[a]}, core {core[a]}) and [{start[b]:g},{end[b]:g}] "
+                    f"(task {task[b]}, core {core[b]}) overlap"
+                ),
+                task_id=int(task[a]),
+                core=int(core[a]),
             )
+        )
     return out
 
 
@@ -75,57 +86,57 @@ def validate_schedule(
     tol: float = 1e-9,
     check_completion: bool = True,
 ) -> list[Violation]:
-    """Return all invariant violations of ``schedule`` (empty list = valid)."""
+    """Return all invariant violations of ``schedule`` (empty list = valid).
+
+    Every check is an array operation over the schedule's columns; Python
+    only runs per violation found, to format it.
+    """
     violations: list[Violation] = []
     tasks = schedule.tasks
+    task, core = schedule.task, schedule.core
+    start, end = schedule.start, schedule.end
 
     # 1. window containment
-    for s in schedule:
-        r = tasks.releases[s.task_id]
-        d = tasks.deadlines[s.task_id]
-        if s.start < r - tol or s.end > d + tol:
-            violations.append(
-                Violation(
-                    kind=ViolationKind.OUTSIDE_WINDOW,
-                    detail=(
-                        f"task {s.task_id} segment [{s.start:g},{s.end:g}] outside "
-                        f"window [{r:g},{d:g}]"
-                    ),
-                    task_id=s.task_id,
-                    core=s.core,
-                )
+    r = tasks.releases[task]
+    d = tasks.deadlines[task]
+    for k in np.flatnonzero((start < r - tol) | (end > d + tol)).tolist():
+        violations.append(
+            Violation(
+                kind=ViolationKind.OUTSIDE_WINDOW,
+                detail=(
+                    f"task {task[k]} segment [{start[k]:g},{end[k]:g}] outside "
+                    f"window [{r[k]:g},{d[k]:g}]"
+                ),
+                task_id=int(task[k]),
+                core=int(core[k]),
             )
+        )
 
     # 2. per-core conflicts
-    for core in range(schedule.n_cores):
-        segs = sorted(schedule.segments_of_core(core), key=lambda s: s.start)
-        violations.extend(
-            _overlap_violations(segs, f"core {core}", ViolationKind.CORE_CONFLICT, tol)
-        )
-
+    violations.extend(
+        _overlap_violations(schedule, "core", ViolationKind.CORE_CONFLICT, tol)
+    )
     # 3. intra-task parallelism
-    for tid in range(len(tasks)):
-        segs = sorted(schedule.segments_of_task(tid), key=lambda s: s.start)
-        violations.extend(
-            _overlap_violations(segs, f"task {tid}", ViolationKind.TASK_PARALLEL, tol)
-        )
+    violations.extend(
+        _overlap_violations(schedule, "task", ViolationKind.TASK_PARALLEL, tol)
+    )
 
     # 4. work completion
     if check_completion:
         done = schedule.work_completed()
-        for tid in range(len(tasks)):
-            need = tasks.works[tid]
-            if abs(done[tid] - need) > tol * max(need, 1.0) + tol:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.WORK_MISMATCH,
-                        detail=(
-                            f"task {tid} completed {done[tid]:g} of required "
-                            f"{need:g}"
-                        ),
-                        task_id=tid,
-                    )
+        need = tasks.works
+        short = np.abs(done - need) > tol * np.maximum(need, 1.0) + tol
+        for tid in np.flatnonzero(short).tolist():
+            violations.append(
+                Violation(
+                    kind=ViolationKind.WORK_MISMATCH,
+                    detail=(
+                        f"task {tid} completed {done[tid]:g} of required "
+                        f"{need[tid]:g}"
+                    ),
+                    task_id=tid,
                 )
+            )
     return violations
 
 

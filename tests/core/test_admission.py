@@ -52,6 +52,19 @@ class TestCapEnforcement:
         d = ctl.try_admit(Task(0.0, 4.0, 4.0))
         assert not d.accepted
 
+    def test_saturation_slack_does_not_grow_with_history(self, power):
+        # 100 committed tasks fill their own windows exactly (total demand
+        # 1e6); an arrival needing 1e-4 inside the first window must be
+        # refused, as it is against that one task alone
+        ctl = AdmissionController(1, power, f_max=1.0)
+        for k in range(100):
+            task = Task(k * 1e4, (k + 1) * 1e4, 1e4)
+            assert ctl.try_admit(task, materialize=False).accepted
+        arrival = Task(0.0, 1e4, 1e-4)
+        assert not ctl.is_schedulable(TaskSet([Task(0.0, 1e4, 1e4), arrival]))
+        d = ctl.try_admit(arrival, materialize=False)
+        assert not d.accepted and "collision-free" in d.reason
+
     def test_disjoint_windows_dont_interfere(self, power):
         ctl = AdmissionController(1, power, f_max=1.0)
         assert ctl.try_admit(Task(0.0, 4.0, 4.0)).accepted

@@ -124,3 +124,75 @@ class TestSchedule:
 
     def test_repr(self, two_tasks):
         assert "Schedule(" in repr(self._schedule(two_tasks))
+
+
+class TestColumnsMatchSegmentLoops:
+    """Column aggregates equal the per-segment loops they replaced, bit for bit."""
+
+    @pytest.fixture(params=[(0, 1), (1, 3), (2, 4)])
+    def schedule(self, request):
+        from repro.core import SubintervalScheduler
+        from repro.workloads.generator import PaperWorkloadConfig, paper_workload
+
+        seed, m = request.param
+        tasks = paper_workload(
+            np.random.default_rng(seed), PaperWorkloadConfig(n_tasks=25)
+        )
+        power = PolynomialPower(alpha=3.0, static=0.1)
+        return SubintervalScheduler(tasks, m, power).final("der").schedule
+
+    def test_order_is_the_stable_segment_sort(self, schedule):
+        segs = list(schedule)
+        assert segs == sorted(segs, key=lambda s: (s.start, s.core, s.task_id))
+        rebuilt = Schedule(schedule.tasks, schedule.n_cores, schedule.power, segs[::-1])
+        assert list(rebuilt) == segs
+
+    def test_energy_work_and_busy_time(self, schedule):
+        segs = list(schedule)
+        power = schedule.power
+        n = len(schedule.tasks)
+        work = np.zeros(n)
+        energy = np.zeros(n)
+        busy = np.zeros(schedule.n_cores)
+        for s in segs:
+            work[s.task_id] += s.work
+            energy[s.task_id] += float(np.asarray(power.power(s.frequency))) * s.duration
+            busy[s.core] += s.duration
+        f = np.array([s.frequency for s in segs])
+        d = np.array([s.duration for s in segs])
+        assert schedule.total_energy() == float(np.sum(power.power(f) * d))
+        assert np.array_equal(schedule.work_completed(), work)
+        assert schedule.work_completed(3) == work[3]
+        assert np.array_equal(schedule.energy_breakdown(), energy)
+        assert np.array_equal(schedule.busy_time(), busy)
+
+    def test_preemptions_and_migrations(self, schedule):
+        per_task: dict[int, list] = {}
+        for s in schedule:
+            per_task.setdefault(s.task_id, []).append(s)
+        preemptions = sum(len(v) - 1 for v in per_task.values())
+        migrations = 0
+        for v in per_task.values():
+            v.sort(key=lambda s: s.start)
+            migrations += sum(a.core != b.core for a, b in zip(v, v[1:]))
+        assert schedule.preemption_count() == preemptions
+        assert schedule.migration_count() == migrations
+
+    def test_columns_are_read_only(self, schedule):
+        with pytest.raises(ValueError):
+            schedule.start[0] = 0.0
+
+    def test_column_checks_match_segment_checks(self, two_tasks):
+        power = PolynomialPower(3.0, 0.0)
+        ok = dict(task=[0], core=[0], start=[0.0], end=[1.0], frequency=[1.0])
+        for field, bad in (
+            ("task", [-1]),
+            ("core", [-1]),
+            ("end", [0.0]),
+            ("frequency", [0.0]),
+            ("task", [2]),
+            ("core", [2]),
+        ):
+            cols = {**ok, field: bad}
+            with pytest.raises(ValueError):
+                Schedule.from_columns(two_tasks, 2, power, *cols.values())

@@ -84,9 +84,8 @@ class TestMinCut:
         net = MaxFlowNetwork(3)
         net.add_edge(0, 1, 5.0)
         net.add_edge(1, 2, 3.0)
-        net.max_flow(0, 2)
-        reach = net.min_cut_reachable(0)
-        assert reach == [True, True, False]  # cut on edge 1->2
+        reach = net.max_flow(0, 2).reachable
+        assert reach == (True, True, False)  # cut on edge 1->2
 
     def test_cut_value_equals_flow(self):
         # random-ish bipartite graph: min-cut == max-flow (LP duality)
@@ -110,6 +109,6 @@ class TestMinCut:
             caps[(1 + n_left + j, t)] = c
             net.add_edge(1 + n_left + j, t, c)
         res = net.max_flow(s, t)
-        reach = net.min_cut_reachable(s)
+        reach = res.reachable
         cut = sum(c for (u, v), c in caps.items() if reach[u] and not reach[v])
         assert res.value == pytest.approx(cut, rel=1e-9)

@@ -2,8 +2,8 @@
 
 ``solve_schedule_batch`` fuses same-platform jobs into one vectorized
 pipeline pass over disjoint time windows.  These tests pin the contract:
-fusion changes throughput, never results — energies match solo solves,
-schedules stay valid, unfusable jobs (``online``, malformed, different
+energies match solo solves to 1e-9 (the time shift costs rounding, so not
+bit for bit), schedules stay valid, unfusable jobs (``online``, malformed, different
 platforms) are isolated, and a poisoned group degrades to per-job solving
 instead of failing the batch.
 """
