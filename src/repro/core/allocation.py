@@ -202,7 +202,7 @@ class AllocationPlan:
 
 def _waterfill_capped(
     w: np.ndarray, delta: np.ndarray, m: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Algorithm 2 over many heavy subintervals at once.
 
     Algorithm 2's sequential greedy — decreasing-weight order, share
@@ -217,13 +217,14 @@ def _waterfill_capped(
     argmax over the cumulative-sum matrix — no per-task loop.
 
     ``w`` is the ``(n_tasks, H)`` weight matrix of the heavy columns (zero
-    outside coverage), ``delta`` the column lengths.  Columns whose total
+    outside coverage), ``delta`` the column lengths.  Returns the
+    allocation and the per-column total weight.  Columns whose total
     weight is zero return all-zero allocations; the caller applies the
     even-split fallback there.
     """
     n, H = w.shape
     if H == 0:
-        return np.zeros((n, 0))
+        return np.zeros((n, 0)), np.zeros(0)
     T = m * delta
     # the number of capped tasks never exceeds m, so only the m + 1 largest
     # weights per column matter
@@ -237,34 +238,36 @@ def _waterfill_capped(
     # an ulp, which would break bit-equality between a column computed at
     # ``n`` rows and the same column spliced unchanged through an
     # ``(n+1)``-row rebuild (see :mod:`repro.core.incremental`).
-    sw = -np.sort(-w, axis=0)  # (n, H) descending per column; zeros trail
+    sw = np.sort(w, axis=0)[::-1]  # (n, H) descending per column; zeros trail
     csum = np.cumsum(sw, axis=0)
     ws = sw[:K]  # (K, H) descending top weights per column
     wtot = csum[-1]
-    P = csum[:K]
-    prefix = np.vstack([np.zeros((1, H)), P[:-1]])  # weight removed before step k
-    k = np.arange(K, dtype=np.float64)[:, None]
+    # weight left in the pool before step k: W - P_k
+    pool = np.empty((K, H))
+    pool[0] = wtot
+    np.subtract(wtot, csum[: K - 1], out=pool[1:])
+    # capacity left before step k: m·Δ - k·Δ
+    cap = T - np.arange(K, dtype=np.float64)[:, None] * delta
     # the remaining-pool clamp keeps the k = m row exactly true (0 <= 0)
-    # even when fp dust drives wtot - prefix a hair negative
-    uncapped = ws * (T[None, :] - k * delta[None, :]) <= delta[None, :] * np.maximum(
-        wtot[None, :] - prefix, 0.0
-    )
+    # even when fp dust drives W - P_k a hair negative
+    uncapped = ws * cap <= delta * np.maximum(pool, 0.0)
     # first uncapped position = number of capped tasks; guaranteed to exist
     # for heavy columns (at k = m the remaining capacity is zero)
     kstar = np.argmax(uncapped, axis=0)
     cols = np.arange(H)
-    t_rem = np.maximum(T - kstar * delta, 0.0)
-    w_rem = wtot - prefix[kstar, cols]
-    r = np.divide(t_rem, w_rem, out=np.zeros(H), where=w_rem > 0)
-    alloc = np.minimum(w * r[None, :], delta[None, :])
+    t_rem = np.maximum(cap[kstar, cols], 0.0)
+    w_rem = pool[kstar, cols]
+    left = w_rem > 0
+    r = np.divide(t_rem, w_rem, out=np.zeros(H), where=left)
+    alloc = np.minimum(w * r, delta)
     # columns where every positive-weight task was capped before the pool
     # emptied (w_rem == 0 with time left): each of them holds Δ outright
-    exhausted = ~(w_rem > 0)
-    if exhausted.any():
+    if not left.all():
+        exhausted = ~left
         alloc[:, exhausted] = np.where(
             w[:, exhausted] > 0, delta[exhausted], 0.0
         )
-    return alloc
+    return alloc, wtot
 
 
 def assemble_columns(
@@ -287,30 +290,32 @@ def assemble_columns(
     """
     counts = cov.sum(axis=0)
     heavy = counts > m
-
-    # Observation 2: light subintervals grant the full length to every
-    # overlapping task; heavy columns are overwritten below
-    x = np.where(cov, lengths[None, :], 0.0)
-
     if not heavy.any():
-        return x
+        # Observation 2: light subintervals grant the full length to every
+        # overlapping task
+        return np.where(cov, lengths[None, :], 0.0)
+    light = not heavy.all()
+    if not light:
+        heavy = slice(None)  # views, not masked copies
 
     d_h = lengths[heavy]
     n_h = counts[heavy]
     cov_h = cov[:, heavy]
     if base == "even":
-        x[:, heavy] = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
-        return x
-
-    assert der is not None
-    w = np.where(cov_h, der[:, heavy], 0.0)
-    alloc = _waterfill_capped(w, d_h, m)
-    # all-zero-DER columns: proportional shares are undefined — even split,
-    # mirroring allocate_proportional's fallback
-    zero = w.sum(axis=0) <= 0.0
-    if zero.any():
-        even = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
-        alloc[:, zero] = even[:, zero]
+        alloc = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
+    else:
+        assert der is not None
+        w = np.where(cov_h, der[:, heavy], 0.0)
+        alloc, wtot = _waterfill_capped(w, d_h, m)
+        # all-zero-DER columns: proportional shares are undefined — even
+        # split, mirroring allocate_proportional's fallback
+        zero = wtot <= 0.0
+        if zero.any():
+            even = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
+            alloc[:, zero] = even[:, zero]
+    if not light:
+        return alloc
+    x = np.where(cov, lengths[None, :], 0.0)
     x[:, heavy] = alloc
     return x
 

@@ -18,6 +18,7 @@ examples and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,21 +33,35 @@ class FrequencyAssignment:
 
     Attributes
     ----------
+    works:
+        Work ``C_i`` per task.
+    floors:
+        Lower frequency bound ``C_i / A_i`` per task (0 for zero-work tasks).
     frequencies:
         Chosen frequency ``f_i`` per task.
-    used_times:
-        Actual execution time ``C_i / f_i`` (≤ available time).
     energies:
         Per-task energy ``C_i (γ f^{α−1} + p₀/f)``.
-    clamped:
-        Mask — True where the critical frequency bound was active, i.e. the
-        task deliberately leaves available time unused.
+
+    ``used_times`` and ``clamped`` are derived on first access: an
+    incremental session re-refines after every delta but reads them only
+    when it materializes a schedule.
     """
 
+    works: np.ndarray
+    floors: np.ndarray
     frequencies: np.ndarray
-    used_times: np.ndarray
     energies: np.ndarray
-    clamped: np.ndarray
+
+    @cached_property
+    def used_times(self) -> np.ndarray:
+        """Actual execution time ``C_i / f_i`` (≤ available time)."""
+        return np.where(self.works > 0, self.works / self.frequencies, 0.0)
+
+    @cached_property
+    def clamped(self) -> np.ndarray:
+        """True where the critical frequency bound was active, i.e. the task
+        deliberately leaves available time unused."""
+        return (self.works > 0) & (self.frequencies > self.floors * (1 + 1e-12))
 
     @property
     def total_energy(self) -> float:
@@ -65,24 +80,22 @@ def refine_frequencies(
     an infeasible allocation (no time for a task with work) is a caller bug
     and raises.
     """
-    works = np.asarray(works, dtype=np.float64)
+    works = np.array(works, dtype=np.float64)  # kept on the result
     available_times = np.asarray(available_times, dtype=np.float64)
     if works.shape != available_times.shape:
         raise ValueError("works and available_times must have the same shape")
-    if np.any((available_times <= 0) & (works > 0)):
+    busy = works > 0
+    if np.any((available_times <= 0) & busy):
         raise ValueError("task with positive work has zero available time")
 
     f_crit = power.critical_frequency()
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_min = np.where(works > 0, works / np.maximum(available_times, 1e-300), 0.0)
-    freqs = np.maximum(f_crit, f_min)
+        f_min = np.where(busy, works / np.maximum(available_times, 1e-300), 0.0)
     # tasks with zero work get a harmless placeholder frequency
-    freqs = np.where(works > 0, freqs, max(f_crit, 1.0))
-    used = np.where(works > 0, works / freqs, 0.0)
-    energies = np.where(works > 0, np.asarray(power.energy_per_work(freqs)) * works, 0.0)
-    clamped = (works > 0) & (freqs > f_min * (1 + 1e-12))
+    freqs = np.where(busy, np.maximum(f_crit, f_min), max(f_crit, 1.0))
+    energies = np.where(busy, np.asarray(power.energy_per_work(freqs)) * works, 0.0)
     return FrequencyAssignment(
-        frequencies=freqs, used_times=used, energies=energies, clamped=clamped
+        works=works, floors=f_min, frequencies=freqs, energies=energies
     )
 
 

@@ -10,7 +10,6 @@ from repro.core import (
     Task,
     TaskSet,
 )
-from repro.power import PolynomialPower
 from repro.sim import assert_valid
 from tests.conftest import random_instance
 
@@ -24,7 +23,7 @@ def _batch_plan(session):
 def _assert_matches_batch(session):
     plan = _batch_plan(session)
     np.testing.assert_array_equal(plan.timeline.boundaries, session.boundaries)
-    np.testing.assert_array_equal(plan.timeline.coverage, session._cov)
+    np.testing.assert_array_equal(plan.timeline.coverage, session.coverage)
     np.testing.assert_array_equal(plan.x, session._x)
 
 
@@ -61,6 +60,30 @@ class TestDeltas:
         assert session.task_of(h[0]).release == 3.0
         assert session.task_of(h[0]).work == 2.0
         assert session.task_of(h[2]).release == 3.0
+
+    @pytest.mark.parametrize("method", ["even", "der"])
+    def test_splices_at_and_beyond_the_horizon_match_batch(self, method, static_power):
+        # tasks wholly before/after the horizon leave an uncovered gap
+        # column; a task spanning everything widens both ends; shared and
+        # edge boundaries die only with their last task
+        session = ScheduleSession(2, static_power, method=method)
+        spec = [
+            ((10, 20, 4), None),
+            ((12, 18, 5), 0),
+            ((0, 4, 2), None),  # gap [4, 10] on the left
+            ((25, 30, 3), 1),  # gap [20, 25] on the right
+            ((-5, 40, 9), 2),  # spans the whole horizon
+            ((12, 30, 2), None),  # shares 12 and 30
+            ((4, 10, 1), 0),  # fills the left gap exactly
+        ]
+        handles = []
+        for task, index in spec:
+            handles.append(session.add_task(Task(*task), index=index))
+            _assert_matches_batch(session)
+        for k in (4, 2, 3, 0, 6, 5):
+            session.remove_task(handles[k])
+            _assert_matches_batch(session)
+            assert session.energy == session.batch_oracle().final(method).energy
 
     def test_energy_matches_batch_final(self, static_power):
         session = ScheduleSession(3, static_power, method="der")

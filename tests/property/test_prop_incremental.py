@@ -23,7 +23,7 @@ def _assert_session_matches_batch(session):
     batch = SubintervalScheduler(session.taskset(), session.m, session.power)
     plan = batch.plan(session.method)
     np.testing.assert_array_equal(plan.timeline.boundaries, session.boundaries)
-    np.testing.assert_array_equal(plan.timeline.coverage, session._cov)
+    np.testing.assert_array_equal(plan.timeline.coverage, session.coverage)
     np.testing.assert_array_equal(plan.x, session._x)
     assert session.energy == batch.final(session.method).energy
 
